@@ -25,7 +25,7 @@ enforce them mechanically.  Three kinds of annotation exist:
 ``# lint: dtype-strict`` (module comment)
     Activates the *dtype contract* checker for a whole module: no
     ``np.float64`` / ``dtype=float`` literals, no dtype-less array
-    constructors -- the fp32/int8 compute paths must never silently upcast.
+    constructors -- the fp32 compute paths must never silently upcast.
 
 Suppressions use ``# lint: disable=<rule> -- <justification>`` on the
 offending line; the justification is mandatory (an unjustified suppression

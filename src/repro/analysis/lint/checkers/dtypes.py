@@ -1,6 +1,6 @@
 """Dtype-contract checker for ``# lint: dtype-strict`` modules.
 
-The fp32 and int8 compute backends (:mod:`repro.nn.compute`) hold the
+The fp32 compute backend (:mod:`repro.nn.compute`) holds the
 invariant that no intermediate silently upcasts to float64: a single stray
 ``np.float64`` temporary doubles the memory traffic of a conv activation and
 quietly erases the backend's speedup.  A module opts in with a
@@ -13,8 +13,8 @@ comment (anywhere in the file); the checker then flags:
     Explicit float64 mentions: ``np.float64`` / ``np.double`` attributes,
     ``dtype=float`` / ``astype(float)`` (the ``float`` builtin *is*
     float64), and ``"float64"`` / ``"<f8"`` dtype strings.  Deliberate
-    fp64 uses (the exact-backend fallback, prepare-time exact integer
-    round-trips) carry a justified suppression instead.
+    fp64 uses (the fp64 fallback for unsupported layer types) carry a
+    justified suppression instead.
 
 ``dtype/missing-dtype``
     Dtype-less array constructors (``np.zeros``, ``np.empty``, ``np.ones``,
@@ -70,7 +70,7 @@ class DtypeContractChecker(Checker):
     family = "dtype"
     rules = {
         "dtype/float64": (
-            "an explicit float64 dtype in a dtype-strict module (fp32/int8 "
+            "an explicit float64 dtype in a dtype-strict module (fp32 "
             "paths must not upcast)"
         ),
         "dtype/missing-dtype": (
@@ -121,7 +121,7 @@ class DtypeContractChecker(Checker):
                     col=candidate.col_offset,
                     message=(
                         "explicit float64 dtype in a dtype-strict module; "
-                        "the fp32/int8 compute paths must stay in their "
+                        "the fp32 compute paths must stay in their "
                         "declared precision (suppress with a justification "
                         "for deliberate fp64 fallbacks)"
                     ),

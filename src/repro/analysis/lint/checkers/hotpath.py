@@ -2,8 +2,8 @@
 
 Functions decorated with :func:`repro.analysis.annotations.hot_path` are the
 steady-state streaming hot path: after warm-up they must not allocate fresh
-batch-sized buffers per call.  The PR-7 compute backends earn their >=2x
-speedups largely from grow-only arenas (:class:`repro.nn.compute.ArenaPool`)
+batch-sized buffers per call.  The fp32 compute backend earns its >=2x
+speedup largely from grow-only arenas (:class:`repro.nn.compute.ArenaPool`)
 and the engine's staging buffers; this checker keeps per-call allocations
 from creeping back in:
 
@@ -17,7 +17,7 @@ from creeping back in:
 ``hot-path/missing-dtype``
     ``np.zeros`` / ``np.empty`` / ``np.ones`` / ``np.full`` without an
     explicit dtype: the default is float64, which silently doubles memory
-    traffic and upcasts downstream arithmetic on the fp32/int8 paths.
+    traffic and upcasts downstream arithmetic on the fp32 paths.
 
 ``hot-path/list-append-in-loop``
     ``<local>.append(...)`` / ``<local>.extend(...)`` inside a ``for`` /

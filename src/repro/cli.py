@@ -179,21 +179,6 @@ def _load_classifier(
     return DeepCsiClassifier(config).load(args.model_dir)
 
 
-def _apply_compute(
-    classifier: DeepCsiClassifier,
-    compute: Optional[str],
-    train: Sequence[FeedbackSample],
-) -> None:
-    """Attach the requested compute backend, calibrating int8 on ``train``."""
-    if compute is None:
-        return
-    if compute == "int8" and not train:
-        raise CliError(
-            "--compute int8 needs training samples in the split for calibration"
-        )
-    classifier.set_compute(compute, calibration=train if compute == "int8" else None)
-
-
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset_path)
     _, test = _apply_split(dataset, args.split, args.beamformee)
@@ -205,14 +190,14 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_authenticate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset_path)
-    train, test = _apply_split(dataset, args.split, args.beamformee)
+    _, test = _apply_split(dataset, args.split, args.beamformee)
     classifier = _load_classifier(args, test)
-    _apply_compute(classifier, args.compute, train)
     engine = InferenceEngine(
         classifier,
         batch_size=args.batch_size,
         max_latency_frames=args.max_latency_frames,
         vote_window=args.window,
+        compute=args.compute,
         precision=args.precision,
         profile=args.profile,
     )
@@ -357,7 +342,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset_path)
     train, test = _apply_split(dataset, args.split, args.beamformee)
     classifier = _load_classifier(args, test)
-    _apply_compute(classifier, args.compute, train)
+    if args.compute is not None:
+        # Before the open-set calibration, so the threshold is scored with
+        # the same forward the shards run.
+        classifier.set_compute(args.compute)
     open_set = _build_open_set(args, classifier, train)
     stream = _interleave_by_module(test) * args.repeat
     labels = [sample.module_id for _, sample in stream]
@@ -572,9 +560,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--compute",
         default=None,
         choices=COMPUTE_NAMES,
-        help="inference compute backend: exact (bitwise fp64), fp32 (arena "
-        "float32), int8 (post-training quantised; calibrated on the split's "
-        "training samples)",
+        help="inference compute backend: fp32 (arena float32 forward); "
+        "omit for the fp64 reference path",
     )
     authenticate.add_argument(
         "--precision",
@@ -685,8 +672,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--compute",
         default=None,
         choices=COMPUTE_NAMES,
-        help="inference compute backend every shard runs (int8 is calibrated "
-        "on the split's training samples before the shards copy the model)",
+        help="inference compute backend every shard runs: fp32 (arena "
+        "float32 forward); omit for the fp64 reference path",
     )
     serve.add_argument(
         "--precision",

@@ -14,11 +14,9 @@ shard engines run* to an :class:`ExecutionBackend`:
   :class:`~repro.core.engine.InferenceEngine` whose classifier weights are
   cloned exactly once at startup (copy-on-write under the ``fork`` start
   method, one pickled copy under ``spawn``).  The classifier's compute
-  backend (:mod:`repro.nn.compute`) rides along in that startup payload --
-  including the int8 quantised weights and calibration scales -- while its
-  scratch arenas are dropped on pickling and rebuilt lazily in the child,
-  so a quantised service never re-calibrates per shard.  Afterwards the
-  hot path moves
+  backend (:mod:`repro.nn.compute`) rides along in that startup payload,
+  while its scratch arenas are dropped on pickling and rebuilt lazily in
+  the child.  Afterwards the hot path moves
   frames through a :class:`~repro.core.transport.ShmRing` shared-memory ring
   buffer - raw angle/``V~`` bytes plus a compact header, never a pickled
   NumPy object per frame.  Compact per-frame *results* (module id,
@@ -329,9 +327,11 @@ class ThreadBackend:
 # --------------------------------------------------------------------------- #
 # Process backend
 # --------------------------------------------------------------------------- #
-def _stats_tuple(
-    engine: InferenceEngine,
-) -> Tuple[int, int, int, float, int, int, Tuple[int, ...]]:
+#: Plain-data form of a worker's EngineStats shipped to the parent.
+_StatsTuple = Tuple[int, int, int, float, int, int, Tuple[int, ...], str, str]
+
+
+def _stats_tuple(engine: InferenceEngine) -> _StatsTuple:
     stats = engine.stats  # consistent snapshot
     return (
         stats.frames_in,
@@ -341,6 +341,8 @@ def _stats_tuple(
         stats.frames_rejected,
         stats.model_version,
         stats.score_histogram,
+        stats.compute,
+        stats.precision,
     )
 
 
@@ -525,6 +527,11 @@ class ProcessBackend:
                         if drift_config is not None
                         else None
                     ),
+                )
+                # Until the worker ships its first snapshot.
+                shard.stats = EngineStats(
+                    compute=classifier.compute_name,
+                    precision=engine_kwargs.get("precision", "exact"),
                 )
                 shard.process = self._context.Process(
                     target=_shard_worker_main,
@@ -751,10 +758,7 @@ class ProcessBackend:
                 self._failure = f"worker process {shard_index} failed: {text}"
 
     @staticmethod
-    def _apply_stats(
-        shard: _ProcessShard,
-        stats: Tuple[int, int, int, float, int, int, Tuple[int, ...]],
-    ) -> None:
+    def _apply_stats(shard: _ProcessShard, stats: _StatsTuple) -> None:
         (
             frames_in,
             frames_out,
@@ -763,6 +767,8 @@ class ProcessBackend:
             frames_rejected,
             model_version,
             score_histogram,
+            compute,
+            precision,
         ) = stats
         shard.stats = EngineStats(
             frames_in=frames_in,
@@ -772,6 +778,8 @@ class ProcessBackend:
             frames_rejected=frames_rejected,
             model_version=model_version,
             score_histogram=tuple(score_histogram),
+            compute=compute,
+            precision=precision,
         )
 
     # -- introspection -------------------------------------------------- #

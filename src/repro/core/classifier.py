@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,15 +33,11 @@ from repro.datasets.features import (
     apply_normalization,
     normalize_features,
 )
+from repro.nn.compute import COMPUTE_NAMES
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Adam
-from repro.nn.serialization import (
-    load_compute_state,
-    load_weights,
-    save_compute_state,
-    save_weights,
-)
+from repro.nn.serialization import load_weights, save_weights
 from repro.nn.training import History, Trainer, TrainingConfig
 
 
@@ -211,55 +207,22 @@ class DeepCsiClassifier:
 
     @property
     def compute_name(self) -> str:
-        """Registry name of the active compute backend (``"fp64"`` default)."""
+        """Name of the active compute backend (``"fp64"`` when none)."""
         backend = self.compute
         return backend.name if backend is not None else "fp64"
 
-    def set_compute(self, compute, calibration=None):
-        """Route inference through a pluggable compute backend.
+    def set_compute(self, compute):
+        """Route inference through the fp32 compute backend.
 
-        Parameters
-        ----------
-        compute:
-            Registry name (``"exact"``, ``"fp32"``, ``"int8"``), a backend
-            instance, or ``None`` to restore the plain fp64 path.
-        calibration:
-            Data for backends that need an activation-calibration pass
-            (``int8``): either a sequence of labelled
-            :class:`~repro.datasets.containers.FeedbackSample` (typically the
-            training split) or a pre-stacked ``(B, K, M, N_SS)`` array of
-            reconstructed ``V~`` matrices.  Ignored by ``exact``/``fp32``.
-
-        Returns the attached backend (or ``None``).
+        ``compute`` is ``"fp32"`` or ``None`` to restore the plain fp64
+        path; re-selecting the active backend keeps it.  Returns the
+        attached backend (or ``None``).
         """
         model = self._require_trained()
         backend = self.compute
-        if backend is not None and (
-            compute is backend or (isinstance(compute, str) and compute == backend.name)
-        ):
+        if backend is not None and compute == backend.name:
             return backend
-        backend = model.set_compute(compute)
-        if backend is not None and getattr(backend, "calibrated", True) is False:
-            if calibration is None:
-                model.set_compute(None)
-                raise ClassifierError(
-                    f"the {backend.name!r} backend requires calibration data "
-                    "(pass calibration=<training samples or V~ batch>)"
-                )
-            backend.calibrate(self._calibration_features(calibration))
-        return backend
-
-    def _calibration_features(self, calibration) -> np.ndarray:
-        """Normalised model-input features from calibration data."""
-        if isinstance(calibration, np.ndarray):
-            if calibration.ndim != 4:
-                raise ClassifierError(
-                    "calibration arrays must have shape (B, K, M, N_SS)"
-                )
-            return apply_normalization(
-                self.extractor.transform_matrices(calibration), self._normalization
-            )
-        return self._features_of(list(calibration))
+        return model.set_compute(compute)
 
     # ------------------------------------------------------------------ #
     # Inference
@@ -376,8 +339,6 @@ class DeepCsiClassifier:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         save_weights(model, directory / "weights.npz")
-        if model.compute is not None:
-            save_compute_state(model, directory / "compute.npz")
         mean, std = self._normalization
         np.savez(directory / "normalization.npz", mean=mean, std=std)
         metadata = {
@@ -397,13 +358,20 @@ class DeepCsiClassifier:
         """Restore a classifier previously stored with :meth:`save`.
 
         The classifier must be constructed with the same
-        :class:`ClassifierConfig` that produced the stored weights.
+        :class:`ClassifierConfig` that produced the stored weights.  The
+        compute backend named in ``metadata.json`` is re-attached.
         """
         directory = Path(directory)
         metadata = json.loads((directory / "metadata.json").read_text())
         if metadata["num_classes"] != self.config.num_classes:
             raise ClassifierError(
                 "stored model was trained with a different number of classes"
+            )
+        compute = metadata.get("compute", "fp64")
+        if compute != "fp64" and compute not in COMPUTE_NAMES:
+            raise ClassifierError(
+                f"stored model was saved with the unsupported compute backend "
+                f"{compute!r}; expected 'fp64' or one of {COMPUTE_NAMES}"
             )
         for key, sub_config in (("feature", self.config.feature), ("model", self.config.model)):
             stored = metadata.get(key)
@@ -423,9 +391,8 @@ class DeepCsiClassifier:
         load_weights(self.model, directory / "weights.npz")
         with np.load(directory / "normalization.npz") as archive:
             self._normalization = (archive["mean"], archive["std"])
-        compute_path = directory / "compute.npz"
-        if compute_path.exists():
-            load_compute_state(self.model, compute_path)
+        if compute != "fp64":
+            self.model.set_compute(compute)
         return self
 
     @property

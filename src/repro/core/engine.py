@@ -48,7 +48,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -63,9 +63,6 @@ from repro.feedback.quantization import QuantizedAngles
 from repro.core.lifecycle import DriftConfig, DriftMonitor, DriftStatus, ModelVersion
 from repro.core.openset import OpenSetAuthenticator, OpenSetPolicy
 from repro.nn.model import LayerProfile
-
-if TYPE_CHECKING:
-    from repro.nn.compute import ComputeBackend
 
 
 class EngineError(ValueError):
@@ -168,9 +165,11 @@ class StageProfile:
     """Accumulated wall-clock of one batch-processing stage.
 
     The preprocessing analogue of :class:`repro.nn.model.LayerProfile`:
-    ``reconstruct`` covers staging + Givens reconstruction of a micro-batch,
-    ``features`` the feature-tensor extraction, and ``inference`` the
-    normalisation + CNN forward (one call each per processed group).
+    ``reconstruct`` covers staging + Givens reconstruction of a quantised
+    micro-batch, ``features`` the feature-tensor extraction (for ready
+    ``V~`` observations, which need no reconstruction, it includes their
+    staging), and ``inference`` the normalisation + CNN forward (one call
+    each per processed group).
     """
 
     name: str
@@ -219,7 +218,7 @@ class EngineStats:
     score_histogram: Tuple[int, ...] = ()
     #: Version of the currently-installed model snapshot (0 = as-built).
     model_version: int = 0
-    #: Registry name of the active compute backend ("fp64" = default path).
+    #: Name of the active compute backend ("fp64" = default path).
     compute: str = "fp64"
     #: Preprocessing precision ("exact" = bit-identical float64 LUT path,
     #: "fast" = complex64/float32 codeword path).
@@ -422,10 +421,9 @@ class InferenceEngine:
         Number of *consecutive* most-recent rejections that force a
         source's verdict to UNKNOWN regardless of older accepted votes.
     compute:
-        Optional compute backend (registry name or instance) routed to
+        Optional compute backend name (``"fp32"``) routed to
         :meth:`DeepCsiClassifier.set_compute`.  ``None`` keeps whatever the
-        classifier already uses.  The ``int8`` backend must be calibrated
-        beforehand (``classifier.set_compute("int8", calibration=...)``).
+        classifier already uses.
     precision:
         Preprocessing precision of the codeword-native path used for
         quantised observations (raw frames, codeword records,
@@ -468,7 +466,7 @@ class InferenceEngine:
         open_set: Optional[Union[OpenSetPolicy, OpenSetAuthenticator]] = None,
         drift: Optional[DriftConfig] = None,
         reject_streak: int = 3,
-        compute: Optional[Union[str, "ComputeBackend"]] = None,
+        compute: Optional[str] = None,
         precision: str = "exact",
         profile: bool = False,
     ) -> None:
@@ -544,7 +542,7 @@ class InferenceEngine:
 
     @property
     def compute(self) -> str:
-        """Registry name of the classifier's active compute backend."""
+        """Name of the classifier's active compute backend."""
         return self.classifier.compute_name
 
     @property
@@ -979,12 +977,10 @@ class InferenceEngine:
             )
 
         for entries in vtilde_groups.values():
-            tick = time.perf_counter_ns()
-            v_batch = self._stage_batch(entries)
+            # Ready V~ matrices need no reconstruction: their staging is
+            # booked as part of the ``features`` stage.
             tock = time.perf_counter_ns()
-            stage_ns["reconstruct"] += tock - tick
-            stage_calls["reconstruct"] += 1
-            features = extractor.transform_matrices(v_batch)
+            features = extractor.transform_matrices(self._stage_batch(entries))
             tick = time.perf_counter_ns()
             stage_ns["features"] += tick - tock
             stage_calls["features"] += 1

@@ -6,7 +6,7 @@ plain-data building blocks the engine/service/backends layers share:
 
 * :class:`ModelVersion` -- an immutable, versioned snapshot of everything a
   shard engine needs to serve a classifier: the weight tensors, the compute
-  backend name + its prepared/quantised state, and the open-set threshold.
+  backend name, and the open-set threshold.
   It serialises to a single ``.npz`` byte blob (:meth:`ModelVersion.to_bytes`)
   so the process backend can ship it over the shared-memory ring as one
   :data:`~repro.core.transport.RECORD_MODEL_SWAP` control record.
@@ -26,7 +26,7 @@ from __future__ import annotations
 import io
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
 
 import numpy as np
@@ -39,15 +39,14 @@ class LifecycleError(RuntimeError):
     """Raised for invalid model-version or drift-monitor usage."""
 
 
-#: Registry name reported when no compute backend is attached.
+#: Compute name reported when no compute backend is attached.
 _DEFAULT_COMPUTE = "fp64"
 
 #: Archive key of the JSON metadata record inside a serialised version blob.
 _META_KEY = "__meta__"
 
-#: Archive key prefixes of the weight / compute-state tensors.
+#: Archive key prefix of the weight tensors.
 _WEIGHT_PREFIX = "weight/"
-_STATE_PREFIX = "state/"
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,8 @@ class ModelVersion:
         archives use), so installing into a mismatched architecture fails
         loudly instead of silently scrambling layers.
     compute:
-        Registry name of the compute backend the snapshot was serving with
+        Name of the compute backend the snapshot was serving with
         (``"fp64"`` when none was attached).
-    compute_state:
-        The backend's serialised state (e.g. int8 tensors + calibration
-        scales), captured so a swapped-in quantised model never re-calibrates.
     open_set_threshold:
         Open-set rejection threshold bundled with the weights (``None`` keeps
         the engine's current threshold).
@@ -79,7 +75,6 @@ class ModelVersion:
     version: int
     weights: Mapping[str, np.ndarray]
     compute: str = _DEFAULT_COMPUTE
-    compute_state: Mapping[str, np.ndarray] = field(default_factory=dict)
     open_set_threshold: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -98,29 +93,17 @@ class ModelVersion:
         version: int,
         open_set_threshold: Optional[float] = None,
     ) -> "ModelVersion":
-        """Snapshot a trained classifier (weights + compute state) as a version."""
+        """Snapshot a trained classifier (weights + compute name) as a version."""
         model = classifier.model
         if model is None:
             raise LifecycleError("the classifier has no trained model to snapshot")
         weights = {
             name: np.array(param, copy=True) for name, param, _ in model.parameters()
         }
-        backend = model.compute
-        if backend is None:
-            return cls(
-                version=version,
-                weights=weights,
-                open_set_threshold=open_set_threshold,
-            )
-        state = {
-            name: np.array(value, copy=True)
-            for name, value in backend.state_dict().items()
-        }
         return cls(
             version=version,
             weights=weights,
-            compute=backend.name,
-            compute_state=state,
+            compute=classifier.compute_name,
             open_set_threshold=open_set_threshold,
         )
 
@@ -128,13 +111,12 @@ class ModelVersion:
     # Installation
     # ------------------------------------------------------------------ #
     def apply(self, classifier: "DeepCsiClassifier") -> None:
-        """Install this version's weights and compute state into a classifier.
+        """Install this version's weights and compute backend into a classifier.
 
         Validates names and shapes against the live architecture *before*
         touching any tensor, so a mismatched version leaves the classifier
-        exactly as it was.  The compute backend is re-attached (prepared
-        against the new weights) and its captured state restored, which keeps
-        e.g. int8 inference bitwise identical to the snapshotted classifier.
+        exactly as it was.  The compute backend is re-attached, prepared
+        against the new weights.
         """
         model = classifier.model
         if model is None:
@@ -156,12 +138,7 @@ class ModelVersion:
                 )
         for name, param in expected.items():
             param[...] = self.weights[name]
-        if self.compute == _DEFAULT_COMPUTE:
-            model.set_compute(None)
-            return
-        backend = model.set_compute(self.compute)
-        if self.compute_state:
-            backend.load_state_dict(dict(self.compute_state))
+        model.set_compute(None if self.compute == _DEFAULT_COMPUTE else self.compute)
 
     # ------------------------------------------------------------------ #
     # Wire form
@@ -180,8 +157,6 @@ class ModelVersion:
         }
         for name, array in self.weights.items():
             arrays[_WEIGHT_PREFIX + name] = np.asarray(array)
-        for name, array in self.compute_state.items():
-            arrays[_STATE_PREFIX + name] = np.asarray(array)
         buffer = io.BytesIO()
         np.savez(buffer, **arrays)
         return buffer.getvalue()
@@ -218,17 +193,11 @@ class ModelVersion:
             for name, array in stored.items()
             if name.startswith(_WEIGHT_PREFIX)
         }
-        state = {
-            name[len(_STATE_PREFIX):]: array
-            for name, array in stored.items()
-            if name.startswith(_STATE_PREFIX)
-        }
         threshold = meta.get("open_set_threshold")
         return cls(
             version=version,
             weights=weights,
             compute=str(meta.get("compute", _DEFAULT_COMPUTE)),
-            compute_state=state,
             open_set_threshold=None if threshold is None else float(threshold),
         )
 

@@ -57,9 +57,9 @@ import os
 import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from types import TracebackType
-from typing import TYPE_CHECKING, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.core.backends import BACKEND_NAMES, WorkerFailure, make_backend
 from repro.core.classifier import DeepCsiClassifier
@@ -76,9 +76,6 @@ from repro.core.openset import OpenSetAuthenticator, OpenSetPolicy
 from repro.core.transport import TransportError
 from repro.feedback.capture import CapturedFeedback
 from repro.feedback.frames import FeedbackFrame
-
-if TYPE_CHECKING:
-    from repro.nn.compute import ComputeBackend
 
 
 class ServiceError(RuntimeError):
@@ -284,11 +281,11 @@ class StreamingService:
         Process backend only: size of one shared-memory ring slot.  Records
         larger than a slot transparently span consecutive slots.
     compute:
-        Optional compute backend (registry name or instance) attached to the
+        Optional compute backend name (``"fp32"``) attached to the
         classifier *before* the shards copy it, so every shard inherits the
-        same prepared backend -- including the int8 quantised weights, which
-        the process backend ships to its workers inside the classifier
-        startup payload.  The ``int8`` backend must be calibrated first.
+        same prepared backend (the process backend ships it to its workers
+        inside the classifier startup payload).  ``None`` keeps whatever
+        the classifier already uses.
     precision:
         Preprocessing precision of every shard engine: ``"exact"`` (the
         default float64/complex128 LUT path, bitwise identical to the
@@ -326,7 +323,7 @@ class StreamingService:
         reject_streak: int = 3,
         backend: str = "threads",
         slot_bytes: Optional[int] = None,
-        compute: Optional[Union[str, "ComputeBackend"]] = None,
+        compute: Optional[str] = None,
         precision: str = "exact",
     ) -> None:
         if backend not in BACKEND_NAMES:
@@ -339,7 +336,7 @@ class StreamingService:
             )
         if compute is not None:
             # Attach before the backend copies the classifier so every shard
-            # inherits the prepared (possibly quantised) backend.
+            # inherits the prepared backend.
             classifier.set_compute(compute)
         self.compute_name = classifier.compute_name
         self.precision = precision
@@ -482,12 +479,8 @@ class StreamingService:
                         f"got {version.version}"
                     )
                 if open_set_threshold is not None:
-                    version = ModelVersion(
-                        version=version.version,
-                        weights=version.weights,
-                        compute=version.compute,
-                        compute_state=version.compute_state,
-                        open_set_threshold=float(open_set_threshold),
+                    version = replace(
+                        version, open_set_threshold=float(open_set_threshold)
                     )
             else:
                 try:

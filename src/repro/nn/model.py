@@ -38,7 +38,7 @@ class Sequential:
     exposes the trainable parameters with qualified names such as
     ``"03_conv/weight"`` so the optimiser can keep per-parameter state.
 
-    Inference forwards can additionally be routed through a pluggable
+    Inference forwards can additionally be routed through the float32
     :mod:`compute backend <repro.nn.compute>` (:meth:`set_compute`) and
     timed per layer (:meth:`enable_profiling`); both are inference-only --
     ``forward(training=True)`` always uses the layers' own fp64 math.
@@ -65,19 +65,23 @@ class Sequential:
         return self._compute
 
     def set_compute(self, compute):
-        """Route inference forwards through a compute backend.
+        """Route inference forwards through the fp32 compute backend.
 
-        ``compute`` is a registry name (``"exact"``, ``"fp32"``, ``"int8"``),
-        a :class:`~repro.nn.compute.ComputeBackend` instance, or ``None`` to
-        detach and restore the plain fp64 path.  The backend is prepared
-        against the current weights and returned.
+        ``compute`` is ``"fp32"`` (:class:`~repro.nn.compute.Fp32ArenaBackend`)
+        or ``None`` to detach and restore the plain fp64 path.  The backend
+        is prepared against the current weights and returned.
         """
         if compute is None:
             self._compute = None
             return None
-        from repro.nn.compute import create_compute_backend
+        from repro.nn.compute import COMPUTE_NAMES, ComputeError, Fp32ArenaBackend
 
-        backend = create_compute_backend(compute)
+        if compute not in COMPUTE_NAMES:
+            raise ComputeError(
+                f"unknown compute backend {compute!r}; expected None or one of "
+                f"{COMPUTE_NAMES}"
+            )
+        backend = Fp32ArenaBackend()
         backend.prepare(self)
         self._compute = backend
         return backend

@@ -58,46 +58,3 @@ def load_weights(model: Sequential, path: Union[str, Path]) -> None:
         param[...] = value
     if model.compute is not None:
         model.compute.prepare(model)
-
-
-#: Archive key holding the compute-backend registry name.
-_COMPUTE_NAME_KEY = "__compute__"
-
-
-def save_compute_state(model: Sequential, path: Union[str, Path]) -> Path:
-    """Save the attached compute backend (name + quantised state) to ``.npz``.
-
-    For the ``int8`` backend this persists the per-layer int8 weight
-    tensors, their per-output-channel scales and the calibrated activation
-    scales, so a restored classifier can serve quantised inference without
-    re-calibrating.  ``exact``/``fp32`` backends only record their name.
-    """
-    backend = model.compute
-    if backend is None:
-        raise ModelError("the model has no compute backend attached")
-    path = Path(path)
-    arrays = {_COMPUTE_NAME_KEY: np.asarray(backend.name)}
-    arrays.update(backend.state_dict())
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **arrays)
-    return path if path.suffix == ".npz" else path.with_suffix(path.suffix + ".npz")
-
-
-def load_compute_state(model: Sequential, path: Union[str, Path]):
-    """Attach the compute backend saved by :func:`save_compute_state`.
-
-    The backend is re-created from its registry name, prepared against the
-    model's current weights, and its serialised state (e.g. int8 tensors and
-    calibration scales) is restored.  Returns the attached backend.
-    """
-    path = Path(path)
-    if not path.exists() and path.with_suffix(path.suffix + ".npz").exists():
-        path = path.with_suffix(path.suffix + ".npz")
-    with np.load(path) as archive:
-        stored = {name: archive[name] for name in archive.files}
-    if _COMPUTE_NAME_KEY not in stored:
-        raise ModelError(f"{path} is not a compute-state archive")
-    name = str(stored.pop(_COMPUTE_NAME_KEY))
-    backend = model.set_compute(name)
-    backend.load_state_dict(stored)
-    return backend

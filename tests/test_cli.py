@@ -247,8 +247,8 @@ class TestProbeTrainEvaluate:
             "--split", "S1", "--stride", "16",
             "--num-classes", "3", "--batch-size", "8",
         ]
-        for compute in ("exact", "fp32", "int8"):
-            code = main(base + ["--compute", compute])
+        for compute, flags in (("fp64", []), ("fp32", ["--compute", "fp32"])):
+            code = main(base + flags)
             captured = capsys.readouterr().out
             assert code == 0
             assert f"compute {compute}" in captured
@@ -318,6 +318,15 @@ class TestProbeTrainEvaluate:
             parser.parse_args(
                 ["authenticate", "data.npz", "model-dir", "--compute", "fp16"]
             )
+
+    def test_removed_compute_backends_rejected_by_parser(self):
+        parser = build_parser()
+        for command in ("authenticate", "serve"):
+            for compute in ("int8", "exact"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(
+                        [command, "data.npz", "model-dir", "--compute", compute]
+                    )
 
     def test_serve_rejects_invalid_repeat(self, generated_dataset, tmp_path, capsys):
         code = main(

@@ -313,6 +313,18 @@ class TestEnginePrecision:
             assert stage.total_ns > 0
             assert stage.mean_ms >= 0.0
 
+    def test_ready_v_tilde_staging_is_booked_as_features(
+        self, trained_classifier, tiny_d1
+    ):
+        _, test = d1_split(tiny_d1, D1_SPLITS["S1"], beamformee_id=1)
+        engine = InferenceEngine(trained_classifier, batch_size=4)
+        for sample in test[:8]:
+            engine.submit(sample)
+        engine.flush()
+        # Nothing is reconstructed on the V~ path, so no reconstruct stage.
+        calls = {stage.name: stage.calls for stage in engine.stats.stage_profile}
+        assert calls == {"features": 2, "inference": 2}
+
     def test_reset_clears_stage_profile(self, trained_classifier, quantized_stream):
         engine = InferenceEngine(trained_classifier, batch_size=4)
         for source, quantized in quantized_stream[:4]:

@@ -1,32 +1,32 @@
-"""Tests for the pluggable inference compute backends (exact/fp32/int8)."""
+"""Tests for the fp32 inference compute backend."""
 
 import copy
+import json
+import pickle
 
 import numpy as np
 import pytest
 
 from repro.core.classifier import ClassifierConfig, ClassifierError, DeepCsiClassifier
 from repro.core.engine import InferenceEngine
+from repro.core.lifecycle import ModelVersion
 from repro.core.model import DeepCsiModelConfig, build_deepcsi_model
 from repro.core.service import StreamingService
 from repro.datasets.features import FeatureConfig, strided_subcarriers
 from repro.datasets.splits import D1_SPLITS, d1_split
+from repro.feedback.givens import compress_v_matrix
+from repro.feedback.quantization import QuantizationConfig, quantize_angles
 from repro.nn.attention import SpatialAttention
 from repro.nn.compute import (
     COMPUTE_NAMES,
     ArenaPool,
     ComputeError,
-    ExactBackend,
     Fp32ArenaBackend,
-    Int8Backend,
     SELU_ALPHA,
     SELU_SCALE,
-    compute_backend_names,
-    create_compute_backend,
     fused_selu,
 )
 from repro.nn.layers import Conv2D, Dense, MaxPool2D, Selu, Softmax
-from repro.nn.serialization import load_compute_state, save_compute_state
 from repro.nn.training import TrainingConfig
 
 TINY_MODEL = DeepCsiModelConfig(
@@ -37,6 +37,9 @@ TINY_MODEL = DeepCsiModelConfig(
     dropout_retain=(0.8,),
     attention_kernel_width=3,
 )
+
+#: The error every entry point raises for a name other than None / "fp32".
+ACCEPTED_NAMES = r"expected None or one of \('fp32',\)"
 
 
 @pytest.fixture()
@@ -74,22 +77,42 @@ def split_samples(tiny_d1):
 
 
 class TestRegistry:
-    def test_all_three_backends_registered(self):
-        assert COMPUTE_NAMES == ("exact", "fp32", "int8")
-        assert compute_backend_names() == COMPUTE_NAMES
+    """The names ``set_compute`` accepts: ``None`` (fp64) and ``"fp32"``."""
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ComputeError):
-            create_compute_backend("fp16")
+    def test_unknown_backend_rejected(self, model_and_input):
+        model, _ = model_and_input
+        assert COMPUTE_NAMES == ("fp32",)
+        with pytest.raises(ComputeError, match=ACCEPTED_NAMES):
+            model.set_compute("fp16")
+        assert model.compute is None
 
-    def test_instances_pass_through(self):
-        backend = Fp32ArenaBackend()
-        assert create_compute_backend(backend) is backend
 
-    def test_names_by_factory(self):
-        assert isinstance(create_compute_backend("exact"), ExactBackend)
-        assert isinstance(create_compute_backend("fp32"), Fp32ArenaBackend)
-        assert isinstance(create_compute_backend("int8"), Int8Backend)
+class TestRemovedComputeNames:
+    """``exact`` and ``int8`` are gone: every entry point refuses them."""
+
+    @pytest.mark.parametrize("name", ["exact", "int8"])
+    def test_set_compute_refuses_removed_names(
+        self, name, model_and_input, trained_classifier
+    ):
+        model, _ = model_and_input
+        for target in (model, copy.deepcopy(trained_classifier)):
+            with pytest.raises(ComputeError, match=ACCEPTED_NAMES):
+                target.set_compute(name)
+            # The failed attach must not leave a half-configured backend.
+            assert target.compute is None
+
+    def test_backend_instances_are_refused(self, model_and_input):
+        model, _ = model_and_input
+        with pytest.raises(ComputeError, match=ACCEPTED_NAMES):
+            model.set_compute(Fp32ArenaBackend())
+
+    def test_engine_and_service_refuse_removed_names(self, trained_classifier):
+        with pytest.raises(ComputeError, match=ACCEPTED_NAMES):
+            InferenceEngine(copy.deepcopy(trained_classifier), compute="int8")
+        with pytest.raises(ComputeError, match=ACCEPTED_NAMES):
+            StreamingService(
+                copy.deepcopy(trained_classifier), num_workers=1, compute="exact"
+            )
 
 
 class TestArenaPool:
@@ -131,18 +154,6 @@ class TestFusedSelu:
             x > 0, x, SELU_ALPHA * (np.exp(x.astype(np.float64)) - 1.0)
         )
         np.testing.assert_allclose(out, reference, rtol=1e-6, atol=1e-6)
-
-
-class TestExactBackend:
-    def test_bitwise_identical_to_fp64(self, model_and_input):
-        model, x = model_and_input
-        reference = model.forward(x, training=False)
-        model.set_compute("exact")
-        assert np.array_equal(model.forward(x, training=False), reference)
-
-    def test_exact_is_flagged(self):
-        assert ExactBackend().is_exact
-        assert not Fp32ArenaBackend().is_exact
 
 
 class TestFp32Backend:
@@ -200,122 +211,45 @@ class TestFp32Backend:
         out = model.forward(x, training=True)
         assert out.dtype == np.float64
 
-
-def model_without_compute_forward(model, x):
-    """fp64 reference forward regardless of the attached backend."""
-    backend = model.compute
-    model.set_compute(None)
-    try:
-        return model.forward(x, training=False)
-    finally:
-        model.set_compute(backend)
-
-
-class TestInt8Backend:
-    def test_uncalibrated_backend_refuses_to_run(self, model_and_input):
-        model, x = model_and_input
-        model.set_compute("int8")
-        with pytest.raises(ComputeError):
-            model.forward(x, training=False)
-
-    def test_per_channel_quantisation_scheme(self, model_and_input):
-        model, _ = model_and_input
-        backend = model.set_compute("int8")
-        assert backend.quantized_states, "no Conv2D/Dense layer was quantised"
-        for index, state in backend.quantized_states.items():
-            layer = model.layers[index]
-            assert state.weight_q.dtype == np.int8
-            assert state.weight_q.shape == layer.weight.shape
-            assert np.max(np.abs(state.weight_q)) <= 127
-            out_channels = (
-                layer.weight.shape[0]
-                if isinstance(layer, Conv2D)
-                else layer.weight.shape[1]
-            )
-            assert state.weight_scale.shape == (out_channels,)
-            assert np.all(state.weight_scale > 0)
-
-    def test_logits_within_tolerance_and_argmax_equal(
-        self, trained_classifier, split_samples
-    ):
-        train, test = split_samples
-        classifier = copy.deepcopy(trained_classifier)
-        reference = classifier.predict_logits(test)
-        classifier.set_compute("int8", calibration=train)
-        quantized = classifier.predict_logits(test)
-        scale = np.max(np.abs(reference))
-        assert np.max(np.abs(quantized - reference)) <= 0.05 * scale
-        assert np.array_equal(
-            quantized.argmax(axis=1), reference.argmax(axis=1)
-        )
-
-    def test_attention_stays_fp32(self, model_and_input):
-        model, _ = model_and_input
-        backend = model.set_compute("int8")
-        attention_indices = [
-            index
-            for index, layer in enumerate(model.layers)
-            if isinstance(layer, SpatialAttention)
-        ]
-        assert attention_indices
-        for index in attention_indices:
-            assert index not in backend.quantized_states
-
-    def test_reprepare_preserves_calibration(self, model_and_input):
-        model, x = model_and_input
-        backend = model.set_compute("int8")
-        backend.calibrate(np.asarray(x, dtype=np.float32))
-        before = model.forward(x, training=False)
-        # set_weights re-prepares the backend; the activation scales must
-        # survive by layer position.
-        model.set_weights(model.get_weights())
-        assert backend.calibrated
-        after = model.forward(x, training=False)
-        np.testing.assert_array_equal(before, after)
-
-    def test_quantized_state_roundtrips_through_serialization(
-        self, model_and_input, tmp_path
-    ):
-        model, x = model_and_input
-        backend = model.set_compute("int8")
-        backend.calibrate(np.asarray(x, dtype=np.float32))
-        reference = model.forward(x, training=False)
-        path = save_compute_state(model, tmp_path / "compute.npz")
-
-        clone = build_deepcsi_model(
-            (4, 1, 48), 5, config=TINY_MODEL, rng=np.random.default_rng(7)
-        )
-        clone.set_weights(model.get_weights())
-        restored = load_compute_state(clone, path)
-        assert restored.name == "int8"
-        assert restored.calibrated
-        np.testing.assert_array_equal(clone.forward(x, training=False), reference)
-        for index, state in backend.quantized_states.items():
-            restored_state = restored.quantized_states[index]
-            np.testing.assert_array_equal(restored_state.weight_q, state.weight_q)
-            np.testing.assert_array_equal(
-                restored_state.weight_scale, state.weight_scale
-            )
-            assert restored_state.act_scale == pytest.approx(state.act_scale)
-
-    def test_uncalibrated_state_cannot_be_serialised(self, model_and_input, tmp_path):
-        model, _ = model_and_input
-        model.set_compute("int8")
-        with pytest.raises(ComputeError):
-            save_compute_state(model, tmp_path / "compute.npz")
-
     def test_backend_survives_pickle_and_deepcopy(self, model_and_input):
-        import pickle
-
         model, x = model_and_input
-        backend = model.set_compute("int8")
-        backend.calibrate(np.asarray(x, dtype=np.float32))
+        model.set_compute("fp32")
         reference = model.forward(x, training=False)
         for clone in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
-            assert clone.compute.calibrated
+            assert clone.compute.name == "fp32"
             np.testing.assert_array_equal(
                 clone.forward(x, training=False), reference
             )
+
+    def test_set_weights_reprepares_the_backend(self, model_and_input):
+        model, x = model_and_input
+        backend = model.set_compute("fp32")
+        before = model.forward(x, training=False)
+        model.set_weights([2.0 * weight for weight in model.get_weights()])
+        assert model.compute is backend
+        after = model.forward(x, training=False)
+        assert not np.array_equal(after, before)
+        np.testing.assert_allclose(
+            after, model_without_compute_forward(model, x), rtol=1e-4, atol=1e-4
+        )
+
+    def test_detaching_restores_the_bitwise_fp64_path(self, model_and_input):
+        model, x = model_and_input
+        reference = model.forward(x, training=False)
+        model.set_compute("fp32")
+        model.forward(x, training=False)
+        assert model.set_compute(None) is None
+        detached = model.forward(x, training=False)
+        assert detached.dtype == np.float64
+        assert detached.tobytes() == reference.tobytes()
+
+
+def model_without_compute_forward(model, x):
+    """fp64 reference forward regardless of the attached backend."""
+    out = x
+    for layer in model.layers:
+        out = layer.forward(out, training=False)
+    return out
 
 
 class TestInferenceCachesDropped:
@@ -400,40 +334,59 @@ class TestClassifierCompute:
         assert trained_classifier.compute is None
         assert trained_classifier.compute_name == "fp64"
 
-    def test_int8_requires_calibration_data(self, trained_classifier):
+    def test_same_name_is_a_noop(self, trained_classifier):
         classifier = copy.deepcopy(trained_classifier)
-        with pytest.raises(ClassifierError):
-            classifier.set_compute("int8")
-        # The failed attach must not leave a half-configured backend.
-        assert classifier.compute is None
-
-    def test_same_name_is_a_noop(self, trained_classifier, split_samples):
-        train, _ = split_samples
-        classifier = copy.deepcopy(trained_classifier)
-        backend = classifier.set_compute("int8", calibration=train)
-        assert classifier.set_compute("int8") is backend
+        backend = classifier.set_compute("fp32")
+        assert classifier.set_compute("fp32") is backend
 
     def test_save_load_roundtrip_restores_backend(
         self, trained_classifier, split_samples, tmp_path
     ):
-        train, test = split_samples
+        _, test = split_samples
         classifier = copy.deepcopy(trained_classifier)
-        classifier.set_compute("int8", calibration=train)
+        classifier.set_compute("fp32")
         reference = classifier.predict_logits(test)
         classifier.save(tmp_path / "model")
 
         restored = DeepCsiClassifier(classifier.config).load(tmp_path / "model")
-        assert restored.compute_name == "int8"
+        assert restored.compute_name == "fp32"
         np.testing.assert_array_equal(restored.predict_logits(test), reference)
 
-    def test_calibration_accepts_v_tilde_batches(
-        self, trained_classifier, split_samples
+    def test_fp64_save_load_roundtrip_stays_fp64(
+        self, trained_classifier, split_samples, tmp_path
     ):
-        train, test = split_samples
-        classifier = copy.deepcopy(trained_classifier)
-        v_batch = np.stack([sample.v_tilde for sample in train], axis=0)
-        backend = classifier.set_compute("int8", calibration=v_batch)
-        assert backend.calibrated
+        _, test = split_samples
+        directory = trained_classifier.save(tmp_path / "model")
+        metadata = json.loads((directory / "metadata.json").read_text())
+        assert metadata["compute"] == "fp64"
+        restored = DeepCsiClassifier(trained_classifier.config).load(directory)
+        assert restored.compute is None
+        np.testing.assert_array_equal(
+            restored.predict_logits(test), trained_classifier.predict_logits(test)
+        )
+
+    def test_model_version_carries_the_compute_name(self, trained_classifier):
+        source = copy.deepcopy(trained_classifier)
+        source.set_compute("fp32")
+        blob = ModelVersion.from_classifier(source, version=1).to_bytes()
+        version = ModelVersion.from_bytes(blob, expected_version=1)
+        assert version.compute == "fp32"
+        target = copy.deepcopy(trained_classifier)
+        version.apply(target)
+        assert target.compute_name == "fp32"
+        ModelVersion.from_classifier(trained_classifier, version=2).apply(target)
+        assert target.compute is None
+
+    def test_load_refuses_a_removed_compute_backend(
+        self, trained_classifier, tmp_path
+    ):
+        # What an int8 save used to write: the backend name in the metadata.
+        directory = copy.deepcopy(trained_classifier).save(tmp_path / "model")
+        metadata = json.loads((directory / "metadata.json").read_text())
+        metadata["compute"] = "int8"
+        (directory / "metadata.json").write_text(json.dumps(metadata))
+        with pytest.raises(ClassifierError, match="'int8'"):
+            DeepCsiClassifier(trained_classifier.config).load(directory)
 
 
 def _drain_engine(classifier, samples, **kwargs):
@@ -486,37 +439,6 @@ class TestEngineAndServiceCompute:
         engine, _ = _drain_engine(classifier, test[:16])
         assert engine.stats.layer_profile == ()
 
-    def test_exact_compute_is_bitwise_across_all_backends(
-        self, trained_classifier, split_samples
-    ):
-        """Acceptance: --compute exact stays bitwise identical to the fp64
-        verdicts through the single engine and both service backends."""
-        _, test = split_samples
-        samples = test[:24]
-        _, reference = _drain_engine(copy.deepcopy(trained_classifier), samples)
-        _, exact_engine = _drain_engine(
-            copy.deepcopy(trained_classifier), samples, compute="exact"
-        )
-        assert exact_engine == reference
-        for backend in ("threads", "processes"):
-            stats, results = _drain_service(
-                copy.deepcopy(trained_classifier), samples, backend, compute="exact"
-            )
-            assert stats.compute == "exact"
-            assert results == reference
-
-    def test_int8_quantised_weights_travel_to_process_shards(
-        self, trained_classifier, split_samples
-    ):
-        train, test = split_samples
-        samples = test[:24]
-        classifier = copy.deepcopy(trained_classifier)
-        classifier.set_compute("int8", calibration=train)
-        _, reference = _drain_engine(copy.deepcopy(classifier), samples)
-        stats, results = _drain_service(classifier, samples, "processes")
-        assert stats.compute == "int8"
-        assert results == reference
-
     def test_fp32_service_on_threads(self, trained_classifier, split_samples):
         _, test = split_samples
         samples = test[:24]
@@ -528,3 +450,88 @@ class TestEngineAndServiceCompute:
         )
         assert stats.compute == "fp32"
         assert results == reference
+
+    def test_fp32_backend_travels_to_process_shards(
+        self, trained_classifier, split_samples
+    ):
+        _, test = split_samples
+        samples = test[:24]
+        classifier = copy.deepcopy(trained_classifier)
+        classifier.set_compute("fp32")
+        _, reference = _drain_engine(copy.deepcopy(classifier), samples)
+        stats, results = _drain_service(classifier, samples, "processes")
+        assert stats.compute == "fp32"
+        assert results == reference
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_worker_stats_report_compute_and_precision(
+        self, trained_classifier, split_samples, backend
+    ):
+        _, test = split_samples
+        with StreamingService(
+            copy.deepcopy(trained_classifier),
+            num_workers=2,
+            batch_size=8,
+            backend=backend,
+            compute="fp32",
+            precision="fast",
+        ) as service:
+            before = service.stats.worker_stats
+            for sample in test[:16]:
+                service.submit(sample, source=f"module-{sample.module_id:02d}")
+            service.flush()
+            after = service.stats.worker_stats
+        assert after[0].frames_out + after[1].frames_out == 16
+        for stats in before + after:
+            assert (stats.compute, stats.precision) == ("fp32", "fast")
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_fp32_survives_a_hot_swap(
+        self, trained_classifier, split_samples, backend
+    ):
+        _, test = split_samples
+        config = QuantizationConfig()
+        stream = [
+            (
+                f"module-{sample.module_id:02d}",
+                quantize_angles(compress_v_matrix(sample.v_tilde), config),
+            )
+            for sample in test[:24]
+        ]
+        classifier = copy.deepcopy(trained_classifier)
+        with StreamingService(
+            classifier,
+            num_workers=2,
+            batch_size=8,
+            backend=backend,
+            compute="fp32",
+            precision="fast",
+        ) as service:
+            for source, observation in stream[:12]:
+                service.submit(observation, source=source)
+            assert service.swap_model(classifier) == 1
+            for source, observation in stream[12:]:
+                service.submit(observation, source=source)
+            service.flush()
+            results = sorted(service.collect(), key=lambda result: result.sequence)
+            worker_stats = service.stats.worker_stats
+        assert [result.model_version for result in results[12:]] == [1] * 12
+        assert [stats.compute for stats in worker_stats] == ["fp32", "fp32"]
+
+        engine = InferenceEngine(
+            copy.deepcopy(trained_classifier),
+            batch_size=8,
+            compute="fp32",
+            precision="fast",
+        )
+        expected = []
+        for source, observation in stream:
+            expected.extend(engine.submit(observation, source=source))
+        expected.extend(engine.flush())
+        assert [
+            (result.predicted_module_id, result.confidence, result.score)
+            for result in results
+        ] == [
+            (result.predicted_module_id, result.confidence, result.score)
+            for result in expected
+        ]
