@@ -649,8 +649,8 @@ class InferenceEngine:
         """Buffer one raw VHT action-frame payload (packed angle report).
 
         Equivalent to submitting the :class:`~repro.feedback.frames.FeedbackFrame`
-        the payload came from: the frame is parsed here and de-quantised
-        through the batched Givens path with the rest of its micro-batch.
+        the payload came from: the frame is parsed to codewords here and
+        reconstructed through the codeword LUT path with its micro-batch.
         """
         _, quantized = parse_feedback_frame(payload)
         entry = _PendingObservation(

@@ -29,6 +29,7 @@ from repro.core.transport import (
 )
 from repro.datasets.features import FeatureConfig, FeatureExtractor, strided_subcarriers
 from repro.datasets.splits import D1_SPLITS, d1_split
+from repro.feedback.frames import FeedbackFrame, VhtMimoControl, pack_feedback_frame
 from repro.feedback.givens import (
     compress_v_matrix,
     reconstruct_accumulator_quantized,
@@ -410,6 +411,43 @@ class TestCodewordTransport:
             assert got.source == want.source
         for source in {source for source, _ in quantized_stream}:
             assert verdicts[source].module_id == reference.verdict(source).module_id
+
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_frames_match_codewords_through_the_service(
+        self, trained_classifier, quantized_stream, backend
+    ):
+        # The same codewords once as QuantizedAngles (RECORD_CODEWORDS on the
+        # process ring) and once packed into frame bytes (RECORD_FRAME, parsed
+        # by the worker engine): per-source results must be bitwise equal.
+        def frame(source, quantized):
+            control = VhtMimoControl(
+                quantized.num_streams, quantized.num_tx, 80, 1, quantized.num_subcarriers
+            )
+            return FeedbackFrame(source, "ap", 0.0, pack_feedback_frame(quantized, control))
+
+        def per_source(observations):
+            with StreamingService(
+                trained_classifier,
+                num_workers=2,
+                backend=backend,
+                batch_size=4,
+                queue_depth=32,
+            ) as service:
+                for (source, _), observation in zip(quantized_stream, observations):
+                    service.submit(observation, source=source)
+                service.flush()
+                results = sorted(service.collect(), key=lambda r: r.sequence)
+            outputs = {}
+            for result in results:
+                outputs.setdefault(result.source, []).append(
+                    (result.predicted_module_id, result.confidence, result.score)
+                )
+            return outputs
+
+        from_codewords = per_source([quantized for _, quantized in quantized_stream])
+        from_frames = per_source([frame(*item) for item in quantized_stream])
+        assert sum(map(len, from_frames.values())) == len(quantized_stream)
+        assert from_frames == from_codewords
 
     def test_service_rejects_unknown_precision(self, trained_classifier):
         with pytest.raises(ServiceError):
