@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 __all__ = ["ArenaPool"]
 
@@ -43,10 +44,11 @@ class ArenaPool:
         self,
         key: tuple,
         shape: Tuple[int, ...],
-        dtype=np.float32,
+        *,
+        dtype: DTypeLike,
         zero: bool = False,
     ) -> np.ndarray:
-        """A ``shape``-sized view of the arena buffer for ``key``."""
+        """A ``shape``-sized view of the ``dtype`` (no default) buffer for ``key``."""
         slot = (key, shape[1:], np.dtype(dtype))
         buffer = self._buffers.get(slot)
         if buffer is None or buffer.shape[0] < shape[0]:

@@ -56,6 +56,7 @@ from repro.analysis.annotations import hot_path
 from repro.arena import ArenaPool
 from repro.core.classifier import DeepCsiClassifier
 from repro.datasets.containers import FeedbackSample
+from repro.datasets.features import FeatureExtractor
 from repro.feedback.capture import CapturedFeedback
 from repro.feedback.frames import FeedbackFrame, parse_feedback_frame
 from repro.feedback.givens import reconstruct_accumulator_quantized
@@ -830,26 +831,25 @@ class InferenceEngine:
 
     @hot_path
     def _stage_codewords(
-        self, entries: List[_PendingObservation]
+        self, entries: List[_PendingObservation], subcarriers: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Copy same-geometry codewords into reusable int16 arena buffers."""
+        """Stage the selected sub-carriers' codewords in int16 arena buffers."""
         first = entries[0].quantized
         assert first is not None
         batch = len(entries)
-        q_phi = self._arena.get(
-            ("stage", "q_phi"),
-            (batch,) + first.q_phi.shape,
-            dtype=np.int16,
-        )
-        q_psi = self._arena.get(
-            ("stage", "q_psi"),
-            (batch,) + first.q_psi.shape,
-            dtype=np.int16,
-        )
+        arena = self._arena
+        full_phi = arena.get(("stage", "q_phi"), (batch,) + first.q_phi.shape, dtype=np.int16)
+        full_psi = arena.get(("stage", "q_psi"), (batch,) + first.q_psi.shape, dtype=np.int16)
         for position, entry in enumerate(entries):
             assert entry.quantized is not None
-            q_phi[position] = entry.quantized.q_phi
-            q_psi[position] = entry.quantized.q_psi
+            full_phi[position] = entry.quantized.q_phi
+            full_psi[position] = entry.quantized.q_psi
+        # Whole-frame copies and one batched take beat a take per frame.
+        rows = (batch, len(subcarriers))
+        q_phi = arena.get(("stage", "phi_rows"), rows + first.q_phi.shape[1:], dtype=np.int16)
+        q_psi = arena.get(("stage", "psi_rows"), rows + first.q_psi.shape[1:], dtype=np.int16)
+        np.take(full_phi, subcarriers, axis=1, out=q_phi)
+        np.take(full_psi, subcarriers, axis=1, out=q_psi)
         return q_phi, q_psi
 
     @hot_path
@@ -916,14 +916,17 @@ class InferenceEngine:
         index_of = {id(entry): idx for idx, entry in enumerate(pending)}
         fast = self.precision == "fast"
         extractor = self.classifier.extractor
+        # Reads a staged accumulator whose rows already are the selection.
+        staged_extractor = FeatureExtractor(replace(extractor.config, subcarrier_positions=None))
 
         # Quantised observations take the codeword-native path: group by
-        # (config, geometry), gather the trig LUTs straight from the staged
-        # codewords and extract features from the Givens accumulator without
-        # materialising V~.  Ready V~ observations are grouped by shape and
-        # staged as before.  Mixed batches are classified per group but
-        # reported in input order; the CNN forward is per-sample, so the
-        # split never changes a verdict.
+        # (config, geometry), stage only the K_sel sub-carriers the features
+        # read, gather the trig LUTs straight from those codewords and extract
+        # features from the (B, K_sel, M, M) Givens accumulator without
+        # materialising V~ (each row is bit-identical to a full-K rebuild's).
+        # Ready V~ observations are grouped by shape and staged as before.
+        # Mixed batches are classified per group but reported in input order;
+        # the CNN forward is per-sample, so the split never changes a verdict.
         quantized_groups: Dict[tuple, List[_PendingObservation]] = {}
         vtilde_groups: Dict[tuple, List[_PendingObservation]] = {}
         for entry in pending:
@@ -944,9 +947,11 @@ class InferenceEngine:
         rejected = 0
         hist = np.zeros(SCORE_HISTOGRAM_BINS, dtype=np.int64)
 
-        for (config, num_tx, num_streams, _), entries in quantized_groups.items():
+        for (config, num_tx, num_streams, num_sub), entries in quantized_groups.items():
             tick = time.perf_counter_ns()
-            q_phi, q_psi = self._stage_codewords(entries)
+            resolved = extractor.config.resolve(num_sub, num_tx, num_streams)
+            subcarriers = np.asarray(resolved.subcarriers)
+            q_phi, q_psi = self._stage_codewords(entries, subcarriers)
             accumulator = reconstruct_accumulator_quantized(
                 q_phi,
                 q_psi,
@@ -959,7 +964,7 @@ class InferenceEngine:
             tock = time.perf_counter_ns()
             stage_ns["reconstruct"] += tock - tick
             stage_calls["reconstruct"] += 1
-            features = extractor.transform_accumulator(
+            features = staged_extractor.transform_accumulator(
                 accumulator, num_streams, arena=self._arena
             )
             tick = time.perf_counter_ns()

@@ -9,8 +9,7 @@ float32 weights and activations, with every intermediate tensor (padded
 inputs, im2col patch matrices, GEMM outputs, activation maps) in a
 grow-only per-shape *arena* that is reused across batches.  Steady-state
 inference therefore performs zero large allocations; SELU/sigmoid are
-computed with fused in-place kernels that avoid the ``np.where``/``np.exp``
-temporaries of the training path.
+computed with fused kernels that allocate nothing (SELU's is the fp64 layer's).
 
 The backend is picklable and deepcopy-able: arenas are dropped from the
 state (they are rebuilt lazily), while the prepared float32 weights travel
@@ -39,12 +38,11 @@ from repro.nn.layers import (
     Flatten,
     MaxPool2D,
     Relu,
-    SELU_ALPHA,
-    SELU_SCALE,
     Selu,
     Sigmoid,
     Softmax,
     _pad_same,
+    fused_selu,
 )
 
 #: Names accepted by ``--compute`` / ``set_compute`` besides ``None`` (fp64).
@@ -114,26 +112,8 @@ def _conv_state(layer: Conv2D) -> _ConvState:
 
 
 # --------------------------------------------------------------------------- #
-# Fused element-wise kernels
+# Fused element-wise kernels (SELU is the layers' own ``fused_selu``)
 # --------------------------------------------------------------------------- #
-def fused_selu(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """SELU into ``out`` using one preallocated ``scratch``, no temporaries.
-
-    Identical (up to dtype rounding) to
-    ``SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * (np.exp(x) - 1))``:
-    ``exp(min(x, 0)) - 1`` is exactly the negative branch for ``x <= 0`` and
-    exactly zero for ``x > 0``, so no boolean mask is materialised.
-    """
-    np.minimum(x, 0.0, out=scratch)
-    np.exp(scratch, out=scratch)
-    scratch -= 1.0
-    scratch *= SELU_ALPHA
-    np.maximum(x, 0.0, out=out)
-    out += scratch
-    out *= SELU_SCALE
-    return out
-
-
 def _fused_sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid computed in place on ``x``."""
     np.clip(x, -60.0, 60.0, out=x)
@@ -217,10 +197,10 @@ class Fp32ArenaBackend:
         if isinstance(layer, Selu):
             return self._selu(index, x)
         if isinstance(layer, Relu):
-            out = self._arena.get((index, "out"), x.shape)
+            out = self._arena.get((index, "out"), x.shape, dtype=self.dtype)
             return np.maximum(x, 0.0, out=out)
         if isinstance(layer, Sigmoid):
-            out = self._arena.get((index, "out"), x.shape)
+            out = self._arena.get((index, "out"), x.shape, dtype=self.dtype)
             np.copyto(out, x)
             return _fused_sigmoid_inplace(out)
         if isinstance(layer, Softmax) and x.ndim == 2:
@@ -244,7 +224,7 @@ class Fp32ArenaBackend:
         if x.ndim == 4:
             batch, channels, height, width = x.shape
             cast = self._arena.get(
-                (index, "ingest"), (batch, height, width, channels)
+                (index, "ingest"), (batch, height, width, channels), dtype=self.dtype
             )
             np.copyto(cast, x.transpose(0, 2, 3, 1))
             return cast
@@ -272,7 +252,7 @@ class Fp32ArenaBackend:
     # -- kernels ---------------------------------------------------------- #
     @hot_path
     def _dense(self, key: tuple, state: _DenseState, x: np.ndarray) -> np.ndarray:
-        out = self._arena.get(key + ("mm",), (x.shape[0], state.weight.shape[1]))
+        out = self._arena.get(key + ("mm",), (x.shape[0], state.weight.shape[1]), dtype=self.dtype)
         np.matmul(x, state.weight, out=out)
         out += state.bias
         return out
@@ -286,6 +266,7 @@ class Fp32ArenaBackend:
             padded = self._arena.get(
                 key + ("pad",),
                 (batch, height + top + bottom, width + left + right, channels),
+                dtype=self.dtype,
                 zero=True,
             )
             np.copyto(padded[:, top : top + height, left : left + width], x)
@@ -297,11 +278,11 @@ class Fp32ArenaBackend:
             padded, (kh, kw), axis=(1, 2)
         )  # (batch, out_h, out_w, c, kh, kw) -- a view, no copy
         col = self._arena.get(
-            key + ("col",), (batch, out_h, out_w, kh, kw, channels)
+            key + ("col",), (batch, out_h, out_w, kh, kw, channels), dtype=self.dtype
         )
         np.copyto(col, windows.transpose(0, 1, 2, 4, 5, 3))
         rows = batch * out_h * out_w
-        accumulator = self._arena.get(key + ("mm",), (rows, state.out_channels))
+        accumulator = self._arena.get(key + ("mm",), (rows, state.out_channels), dtype=self.dtype)
         np.matmul(
             col.reshape(rows, kh * kw * channels), state.weight2d, out=accumulator
         )
@@ -311,13 +292,13 @@ class Fp32ArenaBackend:
 
     @hot_path
     def _selu(self, index: int, x: np.ndarray) -> np.ndarray:
-        out = self._arena.get((index, "out"), x.shape)
-        scratch = self._arena.get((index, "scratch"), x.shape)
+        out = self._arena.get((index, "out"), x.shape, dtype=self.dtype)
+        scratch = self._arena.get((index, "scratch"), x.shape, dtype=self.dtype)
         return fused_selu(x, out, scratch)
 
     @hot_path
     def _softmax(self, index: int, x: np.ndarray) -> np.ndarray:
-        out = self._arena.get((index, "out"), x.shape)
+        out = self._arena.get((index, "out"), x.shape, dtype=self.dtype)
         np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
         np.exp(out, out=out)
         out /= np.sum(out, axis=-1, keepdims=True)
@@ -334,7 +315,7 @@ class Fp32ArenaBackend:
                 f"input spatial size {x.shape[1:3]} smaller than pool {layer.pool_size}"
             )
         cropped = x[:, : out_h * ph, : out_w * pw, :]
-        out = self._arena.get((index, "out"), (batch, out_h, out_w, channels))
+        out = self._arena.get((index, "out"), (batch, out_h, out_w, channels), dtype=self.dtype)
         # Non-overlapping pooling: the (di, dj) offset grids partition every
         # window, so ph*pw strided maximums replace the generic reduction.
         np.copyto(out, cropped[:, ::ph, ::pw, :])
@@ -351,7 +332,7 @@ class Fp32ArenaBackend:
             return x.reshape(x.shape[0], -1)
         # Restore the fp64 reference flattening order (channel-major NCHW).
         batch, height, width, channels = x.shape
-        out = self._arena.get((index, "out"), (batch, channels * height * width))
+        out = self._arena.get((index, "out"), (batch, channels * height * width), dtype=self.dtype)
         np.copyto(
             out.reshape(batch, channels, height, width), x.transpose(0, 3, 1, 2)
         )
@@ -360,12 +341,12 @@ class Fp32ArenaBackend:
     @hot_path
     def _attention(self, index: int, state: _AttentionState, x: np.ndarray) -> np.ndarray:
         batch, height, width, channels = x.shape
-        stacked = self._arena.get((index, "att_in"), (batch, height, width, 2))
+        stacked = self._arena.get((index, "att_in"), (batch, height, width, 2), dtype=self.dtype)
         np.max(x, axis=3, out=stacked[..., 0])
         np.mean(x, axis=3, out=stacked[..., 1])
         logits = self._conv((index, "att"), state.conv, stacked)
         weights = _fused_sigmoid_inplace(logits)  # in place on the conv arena
-        out = self._arena.get((index, "out"), x.shape)
+        out = self._arena.get((index, "out"), x.shape, dtype=self.dtype)
         np.multiply(x, weights, out=out)
         out += x  # skip connection
         return out

@@ -25,6 +25,25 @@ SELU_ALPHA = 1.6732632423543772
 SELU_SCALE = 1.0507009873554805
 
 
+def fused_selu(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """SELU into ``out`` using one preallocated ``scratch``, no temporaries.
+
+    Bit-identical (NaN signs aside) in float64 and float32 to
+    ``SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * (np.exp(x) - 1))``:
+    ``exp(min(x, 0)) - 1`` is exactly the negative branch for ``x <= 0`` and
+    exactly zero for ``x > 0``, so no boolean mask is materialised.  The
+    fp64 :class:`Selu` layer and the fp32 compute backend share this kernel.
+    """
+    np.minimum(x, 0.0, out=scratch)
+    np.exp(scratch, out=scratch)
+    scratch -= 1.0
+    scratch *= SELU_ALPHA
+    np.maximum(x, 0.0, out=out)
+    out += scratch
+    out *= SELU_SCALE
+    return out
+
+
 class LayerError(ValueError):
     """Raised for invalid layer configurations or input shapes."""
 
@@ -268,13 +287,19 @@ class MaxPool2D(Layer):
         out_h = x.shape[2] // ph
         out_w = x.shape[3] // pw
         cropped = x[:, :, : out_h * ph, : out_w * pw]
-        windows = cropped.reshape(x.shape[0], x.shape[1], out_h, ph, out_w, pw)
-        out = windows.max(axis=(3, 5))
+        # The (di, dj) offset grids partition the non-overlapping windows, so
+        # ph*pw strided maximums give the window maxima, folded in memory order
+        # like a max over the 6-D windows view: +0/-0 ties match, NaN signs may not.
+        column_major = abs(x.strides[2]) < abs(x.strides[3])
+        offsets = sorted(np.ndindex(ph, pw), key=lambda o: o[::-1] if column_major else o)
+        out = cropped[:, :, ::ph, ::pw].copy()
+        for di, dj in offsets[1:]:
+            np.maximum(out, cropped[:, :, di::ph, dj::pw], out=out)
         # The winner mask is only needed by backward; keep the (view-backed)
-        # windows and the output so it can be built lazily there instead of
-        # paying for the comparison on every forward.  The windows view keeps
-        # the whole input batch alive, so it is not retained at inference.
-        self._windows = windows if training else None
+        # windows and the output so it can be built lazily there.  The windows
+        # view keeps the whole input batch alive, so inference skips it.
+        shape = (x.shape[0], x.shape[1], out_h, ph, out_w, pw)
+        self._windows = cropped.reshape(shape) if training else None
         self._out = out if training else None
         return out
 
@@ -344,7 +369,8 @@ class Selu(Activation):
     name = "selu"
 
     def _activate(self, x: np.ndarray) -> np.ndarray:
-        return SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * (np.exp(x) - 1.0))
+        out = np.empty_like(x, dtype=np.result_type(x, 1.0))
+        return fused_selu(x, out, np.empty_like(out))
 
     def _derivative(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return SELU_SCALE * np.where(x > 0, 1.0, SELU_ALPHA * np.exp(x))

@@ -7,6 +7,8 @@ arena steady state, the fused accumulator->features extraction, the engine
 transport (codec round trip plus process-backend parity).
 """
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,12 @@ from repro.core.transport import (
     pack_codeword_record,
     unpack_record,
 )
-from repro.datasets.features import FeatureConfig, FeatureExtractor, strided_subcarriers
+from repro.datasets.features import (
+    FeatureConfig,
+    FeatureError,
+    FeatureExtractor,
+    strided_subcarriers,
+)
 from repro.datasets.splits import D1_SPLITS, d1_split
 from repro.feedback.frames import FeedbackFrame, VhtMimoControl, pack_feedback_frame
 from repro.feedback.givens import (
@@ -44,6 +51,7 @@ from repro.feedback.quantization import (
     trig_lut_for,
 )
 from repro.nn.training import TrainingConfig
+from repro.phy.ofdm import sounding_layout, subband_indices
 
 CODEBOOKS = [
     QuantizationConfig(b_phi=7, b_psi=5),  # VHT codebook 0
@@ -73,6 +81,14 @@ def _quantized_batch(rng, batch, num_sub, num_tx, num_streams, config):
 def _legacy_reconstruct(q_phi, q_psi, config, num_tx, num_streams):
     phi, psi = dequantize_angles_batch(q_phi, q_psi, config)
     return reconstruct_v_matrices(phi, psi, num_tx, num_streams)
+
+
+def _frame(source, quantized):
+    """The codewords packed into VHT compressed-beamforming frame bytes."""
+    control = VhtMimoControl(
+        quantized.num_streams, quantized.num_tx, 80, 1, quantized.num_subcarriers
+    )
+    return FeedbackFrame(source, "ap", 0.0, pack_feedback_frame(quantized, control))
 
 
 # --------------------------------------------------------------------------- #
@@ -241,6 +257,28 @@ def quantized_stream(tiny_d1):
     ]
 
 
+#: Feature selections besides the fixture's stride 8; every one keeps
+#: N_col = 30, so the fixture's trained CNN classifies all of them.
+SELECTIONS = {
+    # The top of the nested 40 MHz channel, as in Fig. 12a.
+    "subband": FeatureConfig(
+        stream_indices=(0,),
+        subcarrier_positions=tuple(
+            int(p) for p in subband_indices(sounding_layout(80), 40)[-30:]
+        ),
+    ),
+    # Unsorted, with the last sub-carrier and a repeated position.
+    "unsorted-repeat": FeatureConfig(
+        stream_indices=(0,),
+        subcarrier_positions=(233,) + tuple(range(224, 0, -8)) + (64,),
+    ),
+    # The second spatial stream, as in Fig. 15.
+    "stream1": FeatureConfig(
+        stream_indices=(1,), subcarrier_positions=strided_subcarriers(234, 8)
+    ),
+}
+
+
 class TestEnginePrecision:
     def test_invalid_precision_rejected(self, trained_classifier):
         with pytest.raises(EngineError):
@@ -249,21 +287,45 @@ class TestEnginePrecision:
     def test_exact_codewords_match_manual_reconstruction(
         self, trained_classifier, quantized_stream
     ):
-        engine = InferenceEngine(trained_classifier, batch_size=8)
-        results = []
-        for source, quantized in quantized_stream:
-            results.extend(engine.submit_quantized(quantized, source=source))
-        results.extend(engine.flush())
-        assert len(results) == len(quantized_stream)
-
-        q_phi, q_psi, config, num_tx, num_streams = stack_quantized_angles(
+        # The engine stages and rebuilds only the selected sub-carriers; for
+        # every selection, from codewords and from frame bytes, its features,
+        # ids and confidences must be those of the full-K reconstruction.
+        q_phi, q_psi, codebook, num_tx, num_streams = stack_quantized_angles(
             [quantized for _, quantized in quantized_stream]
         )
-        v_batch = _legacy_reconstruct(q_phi, q_psi, config, num_tx, num_streams)
-        ids, confidences = trained_classifier.predict_matrices(v_batch)
-        for result, module_id, confidence in zip(results, ids, confidences):
-            assert result.predicted_module_id == int(module_id)
-            assert result.confidence == float(confidence)
+        full_k = reconstruct_v_matrices_quantized(q_phi, q_psi, codebook, num_tx, num_streams)
+        legacy = _legacy_reconstruct(q_phi, q_psi, codebook, num_tx, num_streams)
+        assert full_k.tobytes() == legacy.tobytes()
+        selections = {"stride8": trained_classifier.extractor.config, **SELECTIONS}
+        for name, config in selections.items():
+            for kind in ("codewords", "frames"):
+                case = f"{name}/{kind}"
+                classifier = copy.deepcopy(trained_classifier)
+                classifier.extractor = FeatureExtractor(config)
+                predict = classifier.predict_features
+                seen = []
+
+                def recording_predict(features):
+                    seen.append(features.copy())
+                    return predict(features)
+
+                classifier.predict_features = recording_predict
+                engine = InferenceEngine(classifier, batch_size=8)
+                results = []
+                for source, quantized in quantized_stream:
+                    if kind == "codewords":
+                        results.extend(engine.submit_quantized(quantized, source=source))
+                    else:
+                        results.extend(engine.submit(_frame(source, quantized)))
+                results.extend(engine.flush())
+                assert len(results) == len(quantized_stream), case
+
+                reference = classifier.extractor.transform_matrices(full_k)
+                ids, confidences = predict(reference.copy())  # normalises in place
+                assert np.concatenate(seen).tobytes() == reference.tobytes(), case
+                assert [result.predicted_module_id for result in results] == ids.tolist(), case
+                got = np.array([result.confidence for result in results])
+                assert got.tobytes() == confidences.tobytes(), case
 
     def test_fast_precision_preserves_verdicts(
         self, trained_classifier, quantized_stream
@@ -334,6 +396,33 @@ class TestEnginePrecision:
         assert engine.stats.stage_profile
         engine.reset()
         assert engine.stats.stage_profile == ()
+
+
+# --------------------------------------------------------------------------- #
+# Engine: only the selected sub-carriers are staged and reconstructed
+# --------------------------------------------------------------------------- #
+class TestEngineSubcarrierSelection:
+    def test_steady_state_batches_do_not_grow_the_arena(
+        self, trained_classifier, quantized_stream
+    ):
+        engine = InferenceEngine(trained_classifier, batch_size=6)
+        batch = [quantized for _, quantized in quantized_stream[:6]]
+        for quantized in batch:
+            engine.submit_quantized(quantized)
+        warm = engine._arena.allocations
+        for _ in range(3):
+            results = [engine.submit_quantized(quantized) for quantized in batch]
+            assert sum(map(len, results)) == len(batch)
+        assert engine._arena.allocations == warm
+
+    def test_report_shorter_than_the_selected_positions_raises(self, trained_classifier):
+        # Position 232 of the stride-8 selection does not exist when K = 64.
+        rng = np.random.default_rng(23)
+        short = _quantized_batch(rng, 1, 64, 3, 2, QuantizationConfig())[0]
+        engine = InferenceEngine(trained_classifier, batch_size=4)
+        engine.submit_quantized(short)
+        with pytest.raises(FeatureError):
+            engine.flush()
 
 
 # --------------------------------------------------------------------------- #
@@ -419,12 +508,6 @@ class TestCodewordTransport:
         # The same codewords once as QuantizedAngles (RECORD_CODEWORDS on the
         # process ring) and once packed into frame bytes (RECORD_FRAME, parsed
         # by the worker engine): per-source results must be bitwise equal.
-        def frame(source, quantized):
-            control = VhtMimoControl(
-                quantized.num_streams, quantized.num_tx, 80, 1, quantized.num_subcarriers
-            )
-            return FeedbackFrame(source, "ap", 0.0, pack_feedback_frame(quantized, control))
-
         def per_source(observations):
             with StreamingService(
                 trained_classifier,
@@ -445,7 +528,7 @@ class TestCodewordTransport:
             return outputs
 
         from_codewords = per_source([quantized for _, quantized in quantized_stream])
-        from_frames = per_source([frame(*item) for item in quantized_stream])
+        from_frames = per_source([_frame(*item) for item in quantized_stream])
         assert sum(map(len, from_frames.values())) == len(quantized_stream)
         assert from_frames == from_codewords
 

@@ -22,11 +22,9 @@ from repro.nn.compute import (
     ArenaPool,
     ComputeError,
     Fp32ArenaBackend,
-    SELU_ALPHA,
-    SELU_SCALE,
     fused_selu,
 )
-from repro.nn.layers import Conv2D, Dense, MaxPool2D, Selu, Softmax
+from repro.nn.layers import SELU_ALPHA, SELU_SCALE, Conv2D, Dense, MaxPool2D, Selu, Softmax
 from repro.nn.training import TrainingConfig
 
 TINY_MODEL = DeepCsiModelConfig(
@@ -118,28 +116,33 @@ class TestRemovedComputeNames:
 class TestArenaPool:
     def test_grow_only_reuse(self):
         pool = ArenaPool()
-        first = pool.get(("k",), (8, 4))
+        first = pool.get(("k",), (8, 4), dtype=np.float32)
         assert pool.allocations == 1
-        again = pool.get(("k",), (8, 4))
+        again = pool.get(("k",), (8, 4), dtype=np.float32)
         assert again.base is first.base or again is first
         assert pool.allocations == 1
-        smaller = pool.get(("k",), (3, 4))
+        smaller = pool.get(("k",), (3, 4), dtype=np.float32)
         assert smaller.shape == (3, 4)
         assert pool.allocations == 1
-        bigger = pool.get(("k",), (16, 4))
+        bigger = pool.get(("k",), (16, 4), dtype=np.float32)
         assert bigger.shape == (16, 4)
         assert pool.allocations == 2
 
     def test_distinct_keys_and_dtypes_get_distinct_buffers(self):
         pool = ArenaPool()
-        pool.get(("a",), (4, 4))
-        pool.get(("b",), (4, 4))
-        pool.get(("a",), (4, 4), dtype=np.float64)
+        pool.get(("a",), (4, 4), dtype=np.float32)
+        pool.get(("b",), (4, 4), dtype=np.float32)
+        a64 = pool.get(("a",), (4, 4), dtype=np.float64)
         assert pool.allocations == 3
+        assert a64.dtype == np.float64
+        # No silent default precision: the dtype must be named.
+        with pytest.raises(TypeError):
+            pool.get(("c",), (4, 4))
 
     def test_zero_initialised_buffers(self):
         pool = ArenaPool()
-        buffer = pool.get(("pad",), (2, 3), zero=True)
+        buffer = pool.get(("pad",), (2, 3), dtype=np.float64, zero=True)
+        assert buffer.dtype == np.float64
         assert np.all(buffer == 0.0)
 
 
@@ -154,6 +157,14 @@ class TestFusedSelu:
             x > 0, x, SELU_ALPHA * (np.exp(x.astype(np.float64)) - 1.0)
         )
         np.testing.assert_allclose(out, reference, rtol=1e-6, atol=1e-6)
+        # In float64 the fused kernel is the fp64 Selu layer's forward, so it
+        # must reproduce the where-formula byte for byte.
+        x64 = rng.standard_normal((64,)) * 4.0
+        out64 = fused_selu(x64, np.empty_like(x64), np.empty_like(x64))
+        reference64 = SELU_SCALE * np.where(
+            x64 > 0, x64, SELU_ALPHA * (np.exp(x64) - 1.0)
+        )
+        assert out64.tobytes() == reference64.tobytes()
 
 
 class TestFp32Backend:

@@ -239,3 +239,104 @@ class TestAlphaDropout:
     def test_invalid_retain_probability_rejected(self):
         with pytest.raises(LayerError):
             AlphaDropout(0.0)
+
+
+# --------------------------------------------------------------------------- #
+# Kernel oracles: the pooling and SELU forwards are strided-max and fused
+# kernels; these expressions are what they must reproduce byte for byte.
+# --------------------------------------------------------------------------- #
+def _maxpool_oracle(x, pool_size):
+    ph, pw = pool_size
+    b, c, h, w = x.shape
+    oh, ow = h // ph, w // pw
+    cropped = x[:, :, : oh * ph, : ow * pw]
+    return cropped.reshape(b, c, oh, ph, ow, pw).max(axis=(3, 5))
+
+
+def _selu_oracle(x):
+    return SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * (np.exp(x) - 1.0))
+
+
+def _special_input(dtype, shape=(2, 3, 7, 11), seed=5):
+    """Normal values mixed with NaN, +-inf, +-0, subnormals and large negatives.
+
+    The NaN is ``np.nan``: the kernels may flip the sign bit of a negative
+    NaN, which still reads as NaN everywhere downstream.
+    """
+    info = np.finfo(dtype)
+    specials = np.array(
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, info.smallest_subnormal,
+         -info.smallest_subnormal, info.min, -800.0, -80.0, 1.0, -1.0],
+        dtype=dtype,
+    )
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal(shape) * 3.0).astype(dtype)
+    mask = rng.random(shape) < 0.5
+    x[mask] = rng.choice(specials, size=int(mask.sum()))
+    return x
+
+
+def _layouts(x):
+    """The same values contiguous and in two non-contiguous (transposed) layouts."""
+    return {
+        "contiguous": x,
+        "batch-channel-transposed": np.ascontiguousarray(x.transpose(1, 0, 2, 3)).transpose(
+            1, 0, 2, 3
+        ),
+        "height-width-transposed": np.ascontiguousarray(x.swapaxes(2, 3)).swapaxes(2, 3),
+    }
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("pool_size", [(1, 2), (2, 2), (1, 3), (3, 1)])
+    def test_maxpool_forward_is_byte_equal_to_window_max(self, pool_size, dtype, training):
+        # 7 x 11 is cropped by every pool size above.
+        x = _special_input(dtype)
+        for name, view in _layouts(x).items():
+            assert name == "contiguous" or not view.flags.c_contiguous
+            out = MaxPool2D(pool_size).forward(view, training=training)
+            expected = _maxpool_oracle(view, pool_size)
+            assert out.dtype == expected.dtype and out.shape == expected.shape, name
+            assert out.tobytes() == expected.tobytes(), name
+
+    def test_maxpool_tied_zeros_resolve_like_the_window_max(self):
+        # Windows of +0, -0 and -1: a +0/-0 tie for the maximum is resolved by
+        # the order in which the window is folded, which follows the layout.
+        x = np.random.default_rng(9).choice([0.0, -0.0, -1.0], size=(2, 3, 7, 11))
+        for name, view in _layouts(x).items():
+            out = MaxPool2D((2, 2)).forward(view)
+            assert out.tobytes() == _maxpool_oracle(view, (2, 2)).tobytes(), name
+
+    def test_training_forward_keeps_the_windows_for_backward(self):
+        x = _special_input(np.float64)
+        layer = MaxPool2D((1, 2))
+        layer.forward(x)
+        assert layer._windows is None and layer._out is None
+        layer.forward(x, training=True)
+        assert layer._windows.shape == (2, 3, 7, 1, 5, 2)
+        assert np.shares_memory(layer._windows, x)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_negative_nan_stays_nan_up_to_its_sign_bit(self, dtype):
+        x = _special_input(dtype)
+        x[x != x] = -np.nan
+        pooled = MaxPool2D((2, 2)).forward(x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            activated = Selu().forward(x)
+            oracles = (_maxpool_oracle(x, (2, 2)), _selu_oracle(x))
+        for out, expected in zip((pooled, activated), oracles):
+            assert np.array_equal(out, expected, equal_nan=True)
+            assert np.array_equal(np.isnan(out), np.isnan(expected))
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_selu_forward_is_byte_equal_to_where_formula(self, dtype, training):
+        x = _special_input(dtype)
+        for name, view in _layouts(x).items():
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = Selu().forward(view, training=training)
+                expected = _selu_oracle(view)
+            assert out.dtype == expected.dtype and out.shape == expected.shape, name
+            assert out.tobytes() == expected.tobytes(), name
