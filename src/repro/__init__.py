@@ -5,7 +5,7 @@ The package is organised as the paper's system is:
 
 * :mod:`repro.phy` -- Wi-Fi PHY substrate (OFDM, multipath channel, hardware
   impairments, MIMO beamforming, mobility).
-* :mod:`repro.feedback` -- the IEEE 802.11ac/ax compressed beamforming
+* :mod:`repro.feedback` -- the IEEE 802.11ac compressed beamforming
   feedback path (Givens compression, quantisation, frames, capture).
 * :mod:`repro.datasets` -- synthetic counterparts of the paper's D1/D2
   datasets, feature extraction and the S1..S6 train/test splits.

@@ -67,7 +67,6 @@ from repro.core.openset import (
     calibrate_threshold_far,
     evaluate_open_set,
 )
-from repro.core.continual import ContinualDeepCsi, ContinualConfig, ReplayBuffer
 
 __all__ = [
     "DeepCsiModelConfig",
@@ -106,7 +105,4 @@ __all__ = [
     "OpenSetPolicy",
     "calibrate_threshold_far",
     "evaluate_open_set",
-    "ContinualDeepCsi",
-    "ContinualConfig",
-    "ReplayBuffer",
 ]

@@ -70,6 +70,7 @@ from repro.core.transport import (
     RECORD_FRAME,
     RECORD_MODEL_SWAP,
     RECORD_STOP,
+    Record,
     ShmRing,
     pack_array_record,
     pack_codeword_record,
@@ -431,19 +432,8 @@ def _shard_worker_main(
             continue
         try:
             sequences.append(record.sequence)
-            if record.kind == RECORD_FRAME:
-                out = engine.submit_frame_payload(
-                    record.payload, record.source, record.timestamp_s
-                )
-            elif record.kind == RECORD_CODEWORDS:
-                out = engine.submit_quantized(
-                    record.quantized, record.source, record.timestamp_s
-                )
-            else:
-                out = engine.submit_decoded(
-                    record.array, record.source, record.timestamp_s
-                )
-            ship(out)
+            observation = ProcessBackend._decode(record)
+            ship(engine.submit(observation, source=record.source))
         except BaseException as exc:  # noqa: BLE001 - reported upstream
             failed = True
             sequences.clear()
@@ -599,6 +589,21 @@ class ProcessBackend:
         # validates the (K, M, N_SS) shape there - same point of failure as
         # the thread backend.
         return pack_array_record(sequence, source, 0.0, np.asarray(observation))
+
+    @staticmethod
+    def _decode(record: Record) -> Observation:
+        """Worker side: rebuild an observation :meth:`_encode` packed.
+
+        The engine reads the same payload, source and timestamp from it as
+        from the submitted original, so both backends classify identically.
+        """
+        if record.kind == RECORD_FRAME:
+            return FeedbackFrame(record.source, "", record.timestamp_s, record.payload)
+        if record.kind == RECORD_CODEWORDS:
+            assert record.quantized is not None
+            return record.quantized
+        assert record.array is not None
+        return CapturedFeedback(record.array, record.source, "", record.timestamp_s)
 
     def _count_backpressure(self) -> None:
         with self._counter_lock:

@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
@@ -133,52 +133,6 @@ class DeepCsiClassifier:
             val_features = apply_normalization(val_features, statistics)
             validation_data = (val_features, val_labels)
         return trainer.fit(features, labels, validation_data=validation_data)
-
-    def fine_tune(
-        self,
-        samples: Sequence[FeedbackSample],
-        epochs: Optional[int] = None,
-        learning_rate: Optional[float] = None,
-    ) -> History:
-        """Continue training the already-fitted model on new samples.
-
-        Unlike :meth:`fit`, the model weights and the input normalisation
-        statistics are kept, so the classifier accumulates knowledge (used by
-        :mod:`repro.core.continual` for the lifelong-learning extension the
-        paper lists as future work).
-
-        Parameters
-        ----------
-        samples:
-            New labelled feedback samples.
-        epochs:
-            Number of fine-tuning epochs (defaults to the configured epochs).
-        learning_rate:
-            Optimiser learning rate for the fine-tuning phase (defaults to a
-            tenth of the configured rate).
-        """
-        model = self._require_trained()
-        if not samples:
-            raise ClassifierError("cannot fine-tune on an empty sample list")
-        features, labels = self.extractor.transform_samples(samples)
-        self._check_labels(labels)
-        features = apply_normalization(features, self._normalization)
-        config = self.config.training
-        tuned_config = replace(
-            config, epochs=epochs if epochs is not None else config.epochs
-        )
-        rate = (
-            learning_rate
-            if learning_rate is not None
-            else 0.1 * self.config.learning_rate
-        )
-        trainer = Trainer(
-            model,
-            optimizer=Adam(rate),
-            loss=SoftmaxCrossEntropy(),
-            config=tuned_config,
-        )
-        return trainer.fit(features, labels)
 
     def _check_labels(self, labels: np.ndarray) -> None:
         if labels.min() < 0 or labels.max() >= self.config.num_classes:

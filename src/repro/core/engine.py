@@ -14,10 +14,12 @@ streaming one:
   arrays) are buffered and classified in micro-batches of ``batch_size``;
 * ``max_latency_frames`` bounds how many frames may sit in the buffer
   before a partial batch is forced out, trading throughput for latency;
-* raw :class:`~repro.feedback.frames.FeedbackFrame` payloads are parsed,
-  grouped by geometry/quantisation and de-quantised + reconstructed through
-  the *batched* Givens path
-  (:func:`repro.feedback.givens.reconstruct_v_matrices`);
+* raw :class:`~repro.feedback.frames.FeedbackFrame` payloads are parsed to
+  codewords at submit; a micro-batch's codewords are grouped by
+  geometry/quantisation, and only the sub-carriers the classifier reads are
+  rebuilt (:func:`repro.feedback.givens.reconstruct_accumulator_quantized`)
+  and turned into features
+  (:meth:`~repro.datasets.features.FeatureExtractor.transform_accumulator`);
 * every result is appended to a per-source ring buffer so a windowed
   majority vote (:meth:`InferenceEngine.verdict`) is available at any time;
 * an optional open-set policy (:class:`~repro.core.openset.OpenSetPolicy`)
@@ -613,82 +615,17 @@ class InferenceEngine:
         list of EngineResult
             The results that became available because of this submission
             (usually empty, or one full micro-batch).
+
+        Raises
+        ------
+        FrameError
+            When a frame's payload does not parse.
+        EngineError
+            When a ``V~`` (bare or carried) is not a ``(K, M, N_SS)`` array.
+            A rejected observation is not buffered or counted and takes no
+            sequence number.
         """
         return self._enqueue(self._normalise(observation, source))
-
-    def submit_decoded(
-        self,
-        v_tilde: np.ndarray,
-        source: str = ANONYMOUS_SOURCE,
-        timestamp_s: float = 0.0,
-    ) -> List[EngineResult]:
-        """Buffer one already-reconstructed ``V~`` matrix.
-
-        The entry point the process-backend worker uses for observations
-        that crossed the shared-memory transport as ready arrays: it is
-        exactly the ``v_tilde`` branch of :meth:`submit`, with the capture
-        timestamp supplied explicitly, so the classification batches are
-        identical to submitting the original observation object.
-        """
-        array = np.asarray(v_tilde)
-        if array.ndim != 3:
-            raise EngineError("expected a (K, M, N_SS) array")
-        entry = _PendingObservation(
-            sequence=self._next_sequence(),
-            source=source,
-            timestamp_s=timestamp_s,
-            v_tilde=array,
-        )
-        return self._enqueue(entry)
-
-    def submit_frame_payload(
-        self,
-        payload: bytes,
-        source: str = ANONYMOUS_SOURCE,
-        timestamp_s: float = 0.0,
-    ) -> List[EngineResult]:
-        """Buffer one raw VHT action-frame payload (packed angle report).
-
-        Equivalent to submitting the :class:`~repro.feedback.frames.FeedbackFrame`
-        the payload came from: the frame is parsed to codewords here and
-        reconstructed through the codeword LUT path with its micro-batch.
-        """
-        _, quantized = parse_feedback_frame(payload)
-        entry = _PendingObservation(
-            sequence=self._next_sequence(),
-            source=source,
-            timestamp_s=timestamp_s,
-            quantized=quantized,
-        )
-        return self._enqueue(entry)
-
-    def submit_quantized(
-        self,
-        quantized: QuantizedAngles,
-        source: str = ANONYMOUS_SOURCE,
-        timestamp_s: float = 0.0,
-    ) -> List[EngineResult]:
-        """Buffer one quantised feedback (integer angle codewords).
-
-        The entry point the process-backend worker uses for observations
-        that crossed the shared-memory transport as
-        :data:`~repro.core.transport.RECORD_CODEWORDS` records: the
-        codewords go straight into the codeword-native batched Givens path,
-        so reconstruction happens worker-side and nothing larger than the
-        int16 codewords ever crosses the ring.
-        """
-        entry = _PendingObservation(
-            sequence=self._next_sequence(),
-            source=source,
-            timestamp_s=timestamp_s,
-            quantized=quantized,
-        )
-        return self._enqueue(entry)
-
-    def _next_sequence(self) -> int:
-        sequence = self._sequence
-        self._sequence += 1
-        return sequence
 
     def _enqueue(self, entry: _PendingObservation) -> List[EngineResult]:
         self._pending.append(entry)
@@ -766,47 +703,40 @@ class InferenceEngine:
     def _normalise(
         self, observation: Observation, source: Optional[str]
     ) -> _PendingObservation:
-        sequence = self._next_sequence()
+        """Parse and validate one observation; take its sequence number last."""
+        own_source = ANONYMOUS_SOURCE
+        timestamp_s = 0.0
+        quantized: Optional[QuantizedAngles] = None
+        v_tilde: Optional[np.ndarray] = None
         if isinstance(observation, FeedbackFrame):
             _, quantized = parse_feedback_frame(observation.payload)
-            return _PendingObservation(
-                sequence=sequence,
-                source=source if source is not None else observation.source_address,
-                timestamp_s=observation.timestamp_s,
-                quantized=quantized,
-            )
-        if isinstance(observation, CapturedFeedback):
-            return _PendingObservation(
-                sequence=sequence,
-                source=source if source is not None else observation.source_address,
-                timestamp_s=observation.timestamp_s,
-                v_tilde=np.asarray(observation.v_tilde),
-            )
-        if isinstance(observation, FeedbackSample):
-            return _PendingObservation(
-                sequence=sequence,
-                source=source if source is not None else ANONYMOUS_SOURCE,
-                timestamp_s=observation.timestamp_s,
-                v_tilde=np.asarray(observation.v_tilde),
-            )
-        if isinstance(observation, QuantizedAngles):
-            return _PendingObservation(
-                sequence=sequence,
-                source=source if source is not None else ANONYMOUS_SOURCE,
-                timestamp_s=0.0,
-                quantized=observation,
-            )
-        array = np.asarray(observation)
-        if array.ndim != 3:
+            own_source = observation.source_address
+            timestamp_s = observation.timestamp_s
+        elif isinstance(observation, QuantizedAngles):
+            quantized = observation
+        elif isinstance(observation, CapturedFeedback):
+            v_tilde = np.asarray(observation.v_tilde)
+            own_source = observation.source_address
+            timestamp_s = observation.timestamp_s
+        elif isinstance(observation, FeedbackSample):
+            v_tilde = np.asarray(observation.v_tilde)
+            timestamp_s = observation.timestamp_s
+        else:
+            v_tilde = np.asarray(observation)
+        if v_tilde is not None and v_tilde.ndim != 3:
             raise EngineError(
-                "expected a FeedbackFrame, CapturedFeedback, FeedbackSample, "
-                "QuantizedAngles or a (K, M, N_SS) array"
+                "expected a FeedbackFrame, QuantizedAngles or a (K, M, N_SS) V~ "
+                f"(bare or in a CapturedFeedback/FeedbackSample), got shape "
+                f"{v_tilde.shape}"
             )
+        sequence = self._sequence
+        self._sequence += 1
         return _PendingObservation(
             sequence=sequence,
-            source=source if source is not None else ANONYMOUS_SOURCE,
-            timestamp_s=0.0,
-            v_tilde=array,
+            source=source if source is not None else own_source,
+            timestamp_s=timestamp_s,
+            quantized=quantized,
+            v_tilde=v_tilde,
         )
 
     @hot_path

@@ -14,9 +14,9 @@ a ``multiprocessing.shared_memory`` segment:
   ``ceil(record_bytes / slot_bytes)`` *consecutive* slots, so arbitrarily
   large frames are supported without per-record allocation;
 * each record is a compact binary layout (:data:`_HEADER` + UTF-8 source
-  address + raw payload bytes): the dequantised angle/``V~`` payload is
-  copied **once** from producer memory into the shared segment and **once**
-  out on the consumer side - no pickling anywhere on the frame path;
+  address + raw payload bytes): the frame, codeword or ``V~`` payload is
+  copied into the shared segment by the producer and out of it by the
+  consumer - no pickling anywhere on the frame path;
 * free/filled accounting uses two ``multiprocessing`` semaphores, which
   double as the backpressure mechanism: a full ring blocks the producer
   exactly like the bounded ``queue.Queue`` of the thread backend;
@@ -38,9 +38,9 @@ Record kinds:
 ========================  ====================================================
 
 The payload of :data:`RECORD_FRAME` is the packed angle report exactly as it
-was on the air, so the worker-side engine parses and de-quantises it through
-the *same* batched Givens path as the thread backend - the bitwise
-verdict-parity invariant holds by construction.
+was on the air.  The worker rebuilds the frame from it and hands it to the
+same ``InferenceEngine.submit`` as the thread backend, which parses it to
+codewords - the bitwise verdict-parity invariant holds by construction.
 
 :data:`RECORD_CODEWORDS` is the codeword-native wire form: a 7-byte config
 subheader (:data:`_CODEWORD_HEADER`: ``b_phi``, ``b_psi``, ``strict``,

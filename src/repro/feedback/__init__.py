@@ -1,4 +1,4 @@
-"""Compressed beamforming feedback substrate (IEEE 802.11ac/ax).
+"""Compressed beamforming feedback substrate (IEEE 802.11ac).
 
 Implements the channel-sounding feedback path the paper exploits:
 
@@ -37,7 +37,6 @@ from repro.feedback.frames import (
     parse_feedback_frame,
 )
 from repro.feedback.capture import MonitorCapture, SoundingSimulator, CapturedFeedback
-from repro.feedback.he_feedback import HeFeedbackConfig, he_feedback_roundtrip
 
 __all__ = [
     "FeedbackAngles",
@@ -59,6 +58,4 @@ __all__ = [
     "MonitorCapture",
     "SoundingSimulator",
     "CapturedFeedback",
-    "HeFeedbackConfig",
-    "he_feedback_roundtrip",
 ]

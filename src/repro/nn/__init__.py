@@ -15,8 +15,6 @@ required functionality from scratch:
 * :mod:`repro.nn.model` -- a ``Sequential`` container.
 * :mod:`repro.nn.training` -- mini-batch training loop with validation and
   early stopping.
-* :mod:`repro.nn.gradcheck` -- numerical gradient checking (used heavily in
-  the test suite).
 * :mod:`repro.nn.serialization` -- ``.npz`` weight (de)serialisation.
 
 Data layout is ``NCHW``: ``(batch, channels, height, width)``.
@@ -42,14 +40,6 @@ from repro.nn.optimizers import SGD, Adam
 from repro.nn.model import Sequential
 from repro.nn.training import Trainer, TrainingConfig, History
 from repro.nn.serialization import save_weights, load_weights
-from repro.nn.schedulers import (
-    ConstantSchedule,
-    StepDecay,
-    ExponentialDecay,
-    CosineAnnealing,
-    WarmupSchedule,
-)
-from repro.nn.metrics import top_k_accuracy, per_class_metrics, macro_f1
 
 __all__ = [
     "Layer",
@@ -75,12 +65,4 @@ __all__ = [
     "History",
     "save_weights",
     "load_weights",
-    "ConstantSchedule",
-    "StepDecay",
-    "ExponentialDecay",
-    "CosineAnnealing",
-    "WarmupSchedule",
-    "top_k_accuracy",
-    "per_class_metrics",
-    "macro_f1",
 ]

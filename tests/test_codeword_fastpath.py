@@ -314,7 +314,7 @@ class TestEnginePrecision:
                 results = []
                 for source, quantized in quantized_stream:
                     if kind == "codewords":
-                        results.extend(engine.submit_quantized(quantized, source=source))
+                        results.extend(engine.submit(quantized, source=source))
                     else:
                         results.extend(engine.submit(_frame(source, quantized)))
                 results.extend(engine.flush())
@@ -333,8 +333,8 @@ class TestEnginePrecision:
         exact = InferenceEngine(trained_classifier, batch_size=8, precision="exact")
         fast = InferenceEngine(trained_classifier, batch_size=8, precision="fast")
         for source, quantized in quantized_stream:
-            exact.submit_quantized(quantized, source=source)
-            fast.submit_quantized(quantized, source=source)
+            exact.submit(quantized, source=source)
+            fast.submit(quantized, source=source)
         exact.flush()
         fast.flush()
         assert exact.sources == fast.sources
@@ -350,7 +350,7 @@ class TestEnginePrecision:
         results = []
         for index in range(3):
             results.extend(engine.submit(test[index]))
-            results.extend(engine.submit_quantized(quantized_stream[index][1]))
+            results.extend(engine.submit(quantized_stream[index][1]))
         results.extend(engine.flush())
         assert [result.sequence for result in results] == list(range(6))
         for index in range(3):
@@ -365,7 +365,7 @@ class TestEnginePrecision:
     ):
         engine = InferenceEngine(trained_classifier, batch_size=4)
         for source, quantized in quantized_stream[:8]:
-            engine.submit_quantized(quantized, source=source)
+            engine.submit(quantized, source=source)
         engine.flush()
         stats = engine.stats
         assert stats.precision == "exact"
@@ -391,7 +391,7 @@ class TestEnginePrecision:
     def test_reset_clears_stage_profile(self, trained_classifier, quantized_stream):
         engine = InferenceEngine(trained_classifier, batch_size=4)
         for source, quantized in quantized_stream[:4]:
-            engine.submit_quantized(quantized, source=source)
+            engine.submit(quantized, source=source)
         engine.flush()
         assert engine.stats.stage_profile
         engine.reset()
@@ -408,10 +408,10 @@ class TestEngineSubcarrierSelection:
         engine = InferenceEngine(trained_classifier, batch_size=6)
         batch = [quantized for _, quantized in quantized_stream[:6]]
         for quantized in batch:
-            engine.submit_quantized(quantized)
+            engine.submit(quantized)
         warm = engine._arena.allocations
         for _ in range(3):
-            results = [engine.submit_quantized(quantized) for quantized in batch]
+            results = [engine.submit(quantized) for quantized in batch]
             assert sum(map(len, results)) == len(batch)
         assert engine._arena.allocations == warm
 
@@ -420,7 +420,7 @@ class TestEngineSubcarrierSelection:
         rng = np.random.default_rng(23)
         short = _quantized_batch(rng, 1, 64, 3, 2, QuantizationConfig())[0]
         engine = InferenceEngine(trained_classifier, batch_size=4)
-        engine.submit_quantized(short)
+        engine.submit(short)
         with pytest.raises(FeatureError):
             engine.flush()
 
@@ -477,7 +477,7 @@ class TestCodewordTransport:
         reference = InferenceEngine(trained_classifier, batch_size=8)
         expected = []
         for source, quantized in quantized_stream:
-            expected.extend(reference.submit_quantized(quantized, source=source))
+            expected.extend(reference.submit(quantized, source=source))
         expected.extend(reference.flush())
 
         with StreamingService(

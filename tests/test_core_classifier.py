@@ -164,13 +164,6 @@ class TestDeepCsiClassifier:
         with pytest.raises(ClassifierError, match="feature"):
             wrong.load(tmp_path / "model")
 
-    def test_fine_tune_inherits_training_configuration(self, d1_train_test):
-        train, _ = d1_train_test
-        classifier = tiny_classifier(epochs=2)
-        classifier.fit(train)
-        history = classifier.fine_tune(train[:16], epochs=1)
-        assert history.num_epochs == 1
-
     def test_untrained_classifier_refuses_to_predict(self, d1_train_test):
         _, test = d1_train_test
         classifier = tiny_classifier()
@@ -235,3 +228,51 @@ class TestEvaluation:
             confusion_matrix([0, 5], [0, 1], num_classes=2)
         with pytest.raises(EvaluationError):
             accuracy_score([], [])
+
+    @pytest.mark.parametrize(
+        "true, pred",
+        [([], []), ([-1, 0], [0, 0]), ([0, 1], [0, -1]), ([0, 1], [0, 2])],
+    )
+    def test_confusion_matrix_rejects_empty_negative_and_out_of_range_labels(
+        self, true, pred
+    ):
+        with pytest.raises(EvaluationError):
+            confusion_matrix(true, pred, num_classes=2)
+
+    def test_accuracy_rejects_mismatched_shapes(self):
+        with pytest.raises(EvaluationError):
+            accuracy_score([0, 1, 2], [0, 1])
+
+    def test_perfect_predictions_give_a_diagonal_matrix(self):
+        labels = [2, 0, 1, 1, 2, 2]
+        matrix = confusion_matrix(labels, labels)
+        np.testing.assert_array_equal(matrix, np.diag([1, 2, 3]))
+        assert accuracy_score(labels, labels) == 1.0
+        np.testing.assert_array_equal(per_class_accuracy(matrix), [1.0, 1.0, 1.0])
+
+    def test_confusion_counts_sum_to_the_number_of_samples(self, rng):
+        true = rng.integers(0, 5, size=200)
+        pred = rng.integers(0, 5, size=200)
+        matrix = confusion_matrix(true, pred, num_classes=5)
+        assert matrix.sum() == 200
+        np.testing.assert_array_equal(matrix.sum(axis=1), np.bincount(true, minlength=5))
+        np.testing.assert_array_equal(matrix.sum(axis=0), np.bincount(pred, minlength=5))
+        assert np.trace(matrix) / 200 == pytest.approx(accuracy_score(true, pred))
+
+    def test_normalising_an_empty_matrix_gives_zeros_silently(self):
+        with np.errstate(all="raise"):
+            normalised = normalize_confusion(np.zeros((3, 3), dtype=int))
+        np.testing.assert_array_equal(normalised, 0.0)
+
+    def test_report_per_class_accuracy_and_unlabelled_header(self):
+        report = evaluate_predictions([0, 0, 1, 1], [0, 1, 1, 1], num_classes=2)
+        assert report.accuracy == pytest.approx(0.75)
+        np.testing.assert_allclose(report.per_class_accuracy, [0.5, 1.0])
+        assert str(report).startswith("accuracy 75.00% over 4 samples\n")
+
+    def test_format_raw_counts_without_normalising(self):
+        matrix = confusion_matrix([0, 0, 0, 1], [0, 0, 1, 1], num_classes=2)
+        lines = format_confusion_matrix(matrix, normalise=False).splitlines()
+        assert len(lines) == 4
+        assert lines[2].split("|")[1].split() == ["2.00", "1.00"]
+        assert lines[3].split("|")[1].split() == ["0.00", "1.00"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
+from repro.core.backends import ProcessBackend
 from repro.core.engine import (
     ANONYMOUS_SOURCE,
     UNKNOWN_MODULE_ID,
@@ -14,9 +15,29 @@ from repro.core.engine import (
     SourceWindows,
 )
 from repro.core.model import DeepCsiModelConfig
+from repro.core.transport import (
+    pack_array_record,
+    pack_codeword_record,
+    pack_frame_record,
+    unpack_record,
+)
+from repro.datasets.containers import FeedbackSample
 from repro.datasets.features import FeatureConfig, strided_subcarriers
 from repro.datasets.splits import D1_SPLITS, d1_split
-from repro.feedback.capture import MonitorCapture, SoundingSimulator, station_mac
+from repro.feedback.capture import (
+    CapturedFeedback,
+    MonitorCapture,
+    SoundingSimulator,
+    station_mac,
+)
+from repro.feedback.frames import (
+    FeedbackFrame,
+    FrameError,
+    VhtMimoControl,
+    pack_feedback_frame,
+)
+from repro.feedback.givens import compress_v_matrix
+from repro.feedback.quantization import QuantizationConfig, quantize_angles
 from repro.nn.training import TrainingConfig
 from repro.phy.channel import MultipathChannel
 from repro.phy.devices import AccessPoint, make_beamformee
@@ -161,6 +182,116 @@ class TestEngineBatching:
         engine = InferenceEngine(trained_classifier)
         with pytest.raises(EngineError):
             engine.submit(np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("kind", ["array", "sample", "captured", "frame"])
+    def test_rejected_observation_costs_only_itself(
+        self, trained_classifier, test_samples, kind
+    ):
+        """A bad observation raises at submit, is not buffered and takes no
+        sequence number, so the frames around it classify as if it never came.
+        """
+        good = test_samples[:7]
+        flat = np.zeros((64, 3), dtype=complex)
+        if kind == "frame":
+            quantized = quantize_angles(
+                compress_v_matrix(good[0].v_tilde), QuantizationConfig()
+            )
+            control = VhtMimoControl(
+                quantized.num_streams, quantized.num_tx, 80, 1, quantized.num_subcarriers
+            )
+            payload = pack_feedback_frame(quantized, control)
+            bad = FeedbackFrame("bad", "ap", 0.0, payload[: len(payload) // 2])
+        else:
+            bad = {
+                "array": flat,
+                "sample": FeedbackSample(v_tilde=flat, module_id=0, beamformee_id=1),
+                "captured": CapturedFeedback(flat, "bad", "ap", 0.0),
+            }[kind]
+        engine = InferenceEngine(trained_classifier, batch_size=8)
+        for sample in good[:3]:
+            assert engine.submit(sample) == []
+        with pytest.raises(FrameError if kind == "frame" else EngineError):
+            engine.submit(bad)
+        for sample in good[3:]:
+            assert engine.submit(sample) == []
+        results = engine.flush()
+        assert [result.sequence for result in results] == list(range(7))
+        assert results == InferenceEngine(trained_classifier, batch_size=8).drain(good)
+        assert engine.stats.frames_in == engine.stats.frames_out == 7
+
+
+def _observation(kind, sample):
+    """``sample`` as one of the engine's five observation forms."""
+    if kind == "array":
+        return sample.v_tilde
+    if kind == "sample":
+        return FeedbackSample(
+            v_tilde=sample.v_tilde, module_id=0, beamformee_id=1, timestamp_s=2.5
+        )
+    if kind == "captured":
+        return CapturedFeedback(sample.v_tilde, "sta:captured", "ap", 3.5)
+    quantized = quantize_angles(compress_v_matrix(sample.v_tilde), QuantizationConfig())
+    if kind == "codewords":
+        return quantized
+    control = VhtMimoControl(
+        quantized.num_streams, quantized.num_tx, 80, 1, quantized.num_subcarriers
+    )
+    return FeedbackFrame("sta:frame", "ap", 4.5, pack_feedback_frame(quantized, control))
+
+
+class TestObservationForms:
+    @pytest.mark.parametrize(
+        "kind, source, timestamp_s",
+        [
+            ("array", ANONYMOUS_SOURCE, 0.0),
+            ("sample", ANONYMOUS_SOURCE, 2.5),
+            ("captured", "sta:captured", 3.5),
+            ("codewords", ANONYMOUS_SOURCE, 0.0),
+            ("frame", "sta:frame", 4.5),
+        ],
+    )
+    def test_source_and_timestamp_attribution(
+        self, trained_classifier, test_samples, kind, source, timestamp_s
+    ):
+        observation = _observation(kind, test_samples[0])
+        engine = InferenceEngine(trained_classifier, batch_size=4)
+        engine.submit(observation)
+        engine.submit(observation, source="explicit")
+        own, overridden = engine.flush()
+        assert (own.source, own.timestamp_s) == (source, timestamp_s)
+        assert (overridden.source, overridden.timestamp_s) == ("explicit", timestamp_s)
+
+    @pytest.mark.parametrize("kind", ["sample", "captured", "codewords", "frame"])
+    def test_worker_rebuilt_observation_classifies_identically(
+        self, trained_classifier, test_samples, kind
+    ):
+        """What a process worker rebuilds from a record gives the same results
+        (source and timestamp included) as submitting the original."""
+
+        def pack(observation, source):
+            if kind == "codewords":
+                return pack_codeword_record(7, source, 0.0, observation)
+            if kind == "frame":
+                return pack_frame_record(
+                    7, source, observation.timestamp_s, observation.payload
+                )
+            return pack_array_record(
+                7, source, observation.timestamp_s, observation.v_tilde
+            )
+
+        originals = [_observation(kind, sample) for sample in test_samples[:5]]
+        direct = InferenceEngine(trained_classifier, batch_size=4)
+        worker = InferenceEngine(trained_classifier, batch_size=4)
+        expected, rebuilt = [], []
+        for index, observation in enumerate(originals):
+            source = f"sta:{index % 2}"
+            expected += direct.submit(observation, source=source)
+            record = unpack_record(pack(observation, source))
+            rebuilt += worker.submit(ProcessBackend._decode(record), source=record.source)
+        expected += direct.flush()
+        rebuilt += worker.flush()
+        assert len(rebuilt) == 5
+        assert rebuilt == expected
 
 
 class TestEngineVoting:

@@ -1,4 +1,4 @@
-"""Tests for open-set authentication and continual learning."""
+"""Tests for open-set authentication."""
 
 from types import SimpleNamespace
 
@@ -6,13 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
-from repro.core.continual import (
-    ContinualConfig,
-    ContinualDeepCsi,
-    ContinualLearningError,
-    ReplayBuffer,
-    evaluate_forgetting,
-)
 from repro.core.model import DeepCsiModelConfig
 from repro.core.openset import (
     OpenSetAuthenticator,
@@ -159,80 +152,6 @@ class TestOpenSetAuthenticator:
             evaluate_open_set(authenticator, known_test, [])
 
 
-class TestReplayBuffer:
-    def test_buffer_respects_capacity(self):
-        buffer = ReplayBuffer(capacity=10, seed=0)
-        buffer.add(_make_samples([0, 1], num_per_module=20))
-        assert len(buffer) <= 10
-        assert set(buffer.classes) == {0, 1}
-
-    def test_buffer_keeps_all_classes(self):
-        buffer = ReplayBuffer(capacity=9, seed=0)
-        buffer.add(_make_samples([0, 1, 2], num_per_module=30))
-        assert set(buffer.classes) == {0, 1, 2}
-
-    def test_sample_is_balanced_and_bounded(self):
-        buffer = ReplayBuffer(capacity=30, seed=0)
-        buffer.add(_make_samples([0, 1, 2], num_per_module=20))
-        drawn = buffer.sample(9)
-        assert len(drawn) <= 9
-        drawn_classes = {sample.module_id for sample in drawn}
-        assert drawn_classes == {0, 1, 2}
-
-    def test_sample_zero_returns_empty(self):
-        buffer = ReplayBuffer(capacity=5)
-        assert buffer.sample(0) == []
-
-    def test_invalid_arguments_rejected(self):
-        with pytest.raises(ContinualLearningError):
-            ReplayBuffer(capacity=0)
-        buffer = ReplayBuffer(capacity=5)
-        with pytest.raises(ContinualLearningError):
-            buffer.sample(-1)
-
-
-class TestContinualLearning:
-    def test_config_validation(self):
-        with pytest.raises(ContinualLearningError):
-            ContinualConfig(replay_capacity=0)
-        with pytest.raises(ContinualLearningError):
-            ContinualConfig(fine_tune_epochs=0)
-        with pytest.raises(ContinualLearningError):
-            ContinualConfig(learning_rate=0.0)
-        with pytest.raises(ContinualLearningError):
-            ContinualConfig(replay_ratio=-1.0)
-
-    def test_observe_requires_bootstrap(self):
-        learner = ContinualDeepCsi(_tiny_classifier(3))
-        with pytest.raises(Exception):
-            learner.observe(_make_samples([0], num_per_module=4))
-
-    def test_bootstrap_then_observe_keeps_accuracy(self):
-        train = _make_samples([0, 1, 2], num_per_module=25, seed=5)
-        test = _make_samples([0, 1, 2], num_per_module=8, seed=6)
-        new_condition = _make_samples([0, 1, 2], num_per_module=8, seed=7, shift=0.3)
-        learner = ContinualDeepCsi(
-            _tiny_classifier(3),
-            ContinualConfig(replay_capacity=60, fine_tune_epochs=2, seed=0),
-        )
-        learner.bootstrap(train)
-        baseline = learner.evaluate(test).accuracy
-        assert baseline > 0.8
-        report = evaluate_forgetting(learner, test, new_condition)
-        assert learner.num_updates == 1
-        assert report.before == pytest.approx(baseline)
-        # Replay keeps the earlier condition from collapsing.
-        assert report.after > 0.5
-        assert report.forgetting < 0.4
-
-    def test_empty_inputs_rejected(self):
-        learner = ContinualDeepCsi(_tiny_classifier(3))
-        with pytest.raises(ContinualLearningError):
-            learner.bootstrap([])
-        with pytest.raises(ContinualLearningError):
-            ContinualDeepCsi(_tiny_classifier(3)).observe([])
-
-
 class _StubAuthenticator:
     """Duck-typed authenticator with fully controlled scores.
 
@@ -361,33 +280,3 @@ class TestAurocProperties:
         authenticator = OpenSetAuthenticator(classifier, scoring="max_softmax")
         metrics = evaluate_open_set(authenticator, known_test, unknown)
         assert 0.0 <= metrics.auroc <= 1.0
-
-
-class TestReplayBufferSkew:
-    def test_reservoir_balance_under_heavy_class_skew(self):
-        """1000-vs-10 traffic skew must not evict the rare class."""
-        buffer = ReplayBuffer(capacity=30, seed=0)
-        buffer.add(_make_samples([0], num_per_module=1000, seed=5))
-        buffer.add(_make_samples([1], num_per_module=10, seed=6))
-        assert len(buffer) <= 30
-        per_class = {
-            module_id: sum(
-                1 for sample in buffer.sample(len(buffer))
-                if sample.module_id == module_id
-            )
-            for module_id in buffer.classes
-        }
-        # The rare class keeps everything it ever offered; the frequent one
-        # is clamped to its per-class share.
-        assert per_class[1] == 10
-        assert per_class[0] <= 15
-
-    def test_skewed_sample_draw_is_balanced(self):
-        buffer = ReplayBuffer(capacity=40, seed=0)
-        buffer.add(_make_samples([0], num_per_module=500, seed=7))
-        buffer.add(_make_samples([1], num_per_module=500, seed=8))
-        drawn = buffer.sample(20)
-        counts = {0: 0, 1: 0}
-        for sample in drawn:
-            counts[sample.module_id] += 1
-        assert counts[0] == counts[1] == 10

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.nn.attention import SpatialAttention
-from repro.nn.gradcheck import check_layer_input_gradient, check_layer_parameter_gradients
 from repro.nn.layers import LayerError
+from tests.gradcheck import check_layer_input_gradient, check_layer_parameter_gradients
 
 
 class TestSpatialAttentionForward:

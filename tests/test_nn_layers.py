@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import check_layer_input_gradient, check_layer_parameter_gradients
 from repro.nn.layers import (
     SELU_ALPHA,
     SELU_SCALE,
@@ -19,6 +18,7 @@ from repro.nn.layers import (
     Sigmoid,
     Softmax,
 )
+from tests.gradcheck import check_layer_input_gradient, check_layer_parameter_gradients
 
 
 @pytest.fixture()

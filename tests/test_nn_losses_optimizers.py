@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.nn.gradcheck import numerical_gradient
 from repro.nn.initializers import get_initializer, glorot_uniform, he_normal, lecun_normal
 from repro.nn.losses import LossError, MeanSquaredError, SoftmaxCrossEntropy, accuracy
 from repro.nn.optimizers import SGD, Adam, OptimizerError
+from tests.gradcheck import numerical_gradient
 
 
 class TestSoftmaxCrossEntropy:
@@ -163,3 +163,33 @@ class TestInitializers:
         assert get_initializer("lecun_normal") is lecun_normal
         with pytest.raises(ValueError):
             get_initializer("unknown")
+
+    def test_glorot_limit_uses_fan_in_plus_fan_out(self):
+        rng = np.random.default_rng(0)
+        weights = glorot_uniform((40, 360), rng)
+        limit = np.sqrt(6.0 / 400)
+        assert np.all(np.abs(weights) <= limit)
+        assert np.abs(weights).max() > 0.95 * limit
+
+    def test_vector_shape_uses_its_length_as_fan_in(self):
+        rng = np.random.default_rng(0)
+        weights = he_normal((5000,), rng)
+        assert weights.shape == (5000,)
+        assert weights.std() == pytest.approx(np.sqrt(2.0 / 5000), rel=0.1)
+
+    @pytest.mark.parametrize("shape", [(), (3, 4, 5), (2, 3, 4, 5, 6)])
+    def test_unsupported_shape_rejected(self, shape):
+        with pytest.raises(ValueError):
+            lecun_normal(shape, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("name", ["lecun_normal", "he_normal", "glorot_uniform"])
+    def test_random_schemes_are_deterministic_in_the_generator(self, name):
+        init = get_initializer(name)
+        first = init((6, 4), np.random.default_rng(3))
+        np.testing.assert_array_equal(first, init((6, 4), np.random.default_rng(3)))
+        assert not np.array_equal(first, init((6, 4), np.random.default_rng(4)))
+
+    def test_zeros_ignores_the_generator(self):
+        weights = get_initializer("zeros")((3, 2))
+        assert weights.shape == (3, 2)
+        np.testing.assert_array_equal(weights, 0.0)

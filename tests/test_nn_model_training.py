@@ -208,3 +208,18 @@ class TestSerialization:
     def test_saving_empty_model_rejected(self, tmp_path):
         with pytest.raises(ModelError):
             save_weights(Sequential([Relu()]), tmp_path / "weights.npz")
+
+    def test_suffixless_path_is_saved_and_loaded_as_npz(self, tmp_path, rng):
+        model = make_mlp(seed=8)
+        written = save_weights(model, tmp_path / "nested" / "weights")
+        assert written == tmp_path / "nested" / "weights.npz"
+        assert written.exists()
+        other = make_mlp(seed=9)
+        load_weights(other, tmp_path / "nested" / "weights")
+        x = rng.standard_normal((3, 8))
+        np.testing.assert_array_equal(other.forward(x), model.forward(x))
+
+    def test_load_rejects_a_shape_mismatch_under_the_same_names(self, tmp_path):
+        path = save_weights(make_mlp(seed=8, num_classes=3), tmp_path / "weights.npz")
+        with pytest.raises(ModelError, match="shape mismatch for '02_out/weight'"):
+            load_weights(make_mlp(seed=9, num_classes=4), path)

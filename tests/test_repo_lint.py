@@ -5,8 +5,11 @@ self-checks the gate: a seeded violation injected next to the real sources
 must be caught, so a silently-broken checker cannot green-light the repo.
 """
 
+import importlib
+import pkgutil
 from pathlib import Path
 
+import repro
 from repro.analysis.lint import run_lint
 
 REPO_ROOT = Path(__file__).parent.parent
@@ -58,3 +61,16 @@ def test_injected_violation_is_caught(tmp_path):
     report = run_lint([str(bad)])
     assert not report.ok
     assert [entry.rule for entry in report.violations] == ["lock/unguarded-write"]
+
+
+def test_every_public_name_resolves():
+    """Every ``__all__`` entry exists, so no stale re-export of a deleted
+    name can break ``from repro.<package> import *``."""
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+    ]
+    public = [(module, name) for module in modules for name in getattr(module, "__all__", ())]
+    assert len(public) > 200
+    missing = [f"{module.__name__}.{name}" for module, name in public if not hasattr(module, name)]
+    assert missing == []
