@@ -11,7 +11,8 @@ Two acceptance gates of the always-on lifecycle tentpole:
   engine reuses the classification forward pass, so the open-set engine must
   sustain at least **85%** of the closed-set engine's frames/sec on the same
   traffic (the "rejection is ~free" claim), while predicting identical
-  module ids for every frame.
+  module ids for every frame.  The engines serve the scenario's codewords,
+  classified by a classifier trained on the ``V~`` rebuilt from them.
 
 Set ``REPRO_BENCH_SMOKE=1`` to shrink the workload for a CI smoke run (both
 gates stay enforced; the smoke shapes prove the gate logic end to end).
@@ -23,6 +24,7 @@ Run directly with::
 
 import os
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -36,6 +38,12 @@ from repro.core.openset import (
 )
 from repro.datasets.adversarial import impostor_scenario
 from repro.datasets.features import FeatureConfig
+from repro.feedback.givens import compress_v_matrix, reconstruct_v_matrix
+from repro.feedback.quantization import (
+    QuantizationConfig,
+    quantization_roundtrip,
+    quantize_angles,
+)
 from repro.nn.training import TrainingConfig
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -51,6 +59,20 @@ REPEATS = 3
 THROUGHPUT_ROUNDS = 4 if SMOKE else 16
 
 
+def _edge_quantised(samples):
+    """``samples`` with each ``V~`` replaced by the one rebuilt from its codewords."""
+    config = QuantizationConfig()
+    return [
+        replace(
+            sample,
+            v_tilde=reconstruct_v_matrix(
+                quantization_roundtrip(compress_v_matrix(sample.v_tilde), config)
+            ),
+        )
+        for sample in samples
+    ]
+
+
 @pytest.fixture(scope="module")
 def scenario():
     """The seeded impostor scenario shared by both gates."""
@@ -62,9 +84,8 @@ def scenario():
     )
 
 
-@pytest.fixture(scope="module")
-def classifier(scenario):
-    """A tiny classifier trained on the scenario's enrolled traffic."""
+def _train(samples):
+    """A tiny classifier trained on ``samples``."""
     config = ClassifierConfig(
         num_classes=NUM_ENROLLED,
         feature=FeatureConfig(stream_indices=(0,)),
@@ -86,8 +107,14 @@ def classifier(scenario):
         seed=0,
     )
     model = DeepCsiClassifier(config)
-    model.fit(scenario.enrolled_train)
+    model.fit(samples)
     return model
+
+
+@pytest.fixture(scope="module")
+def classifier(scenario):
+    """A tiny classifier trained on the scenario's enrolled traffic."""
+    return _train(scenario.enrolled_train)
 
 
 def test_open_set_auroc_gate(scenario, classifier, record):
@@ -148,15 +175,22 @@ def _serve(engine, frames):
     return time.perf_counter() - started
 
 
-def test_open_set_throughput_gate(scenario, classifier, record):
+def test_open_set_throughput_gate(scenario, record):
     """Open-set rejection costs <= 15% of closed-set engine throughput."""
+    # The engines take the codewords the beamformees send, so this gate's
+    # classifier trains and calibrates on the V~ rebuilt from them.
+    populations = ("enrolled_train", "enrolled_test", "unseen", "spoofed")
+    edge = replace(
+        scenario, **{name: _edge_quantised(getattr(scenario, name)) for name in populations}
+    )
+    classifier = _train(edge.enrolled_train)
     frames = [
-        sample.v_tilde
-        for sample in (scenario.enrolled_test + scenario.impostors)
+        quantize_angles(compress_v_matrix(sample.v_tilde), QuantizationConfig())
+        for sample in (edge.enrolled_test + edge.impostors)
     ] * THROUGHPUT_ROUNDS
     authenticator = OpenSetAuthenticator(classifier, scoring="max_softmax")
     calibrate_threshold(
-        authenticator, scenario.enrolled_train, target_false_reject_rate=TARGET_FRR
+        authenticator, edge.enrolled_train, target_false_reject_rate=TARGET_FRR
     )
     closed = InferenceEngine(classifier, batch_size=BATCH_SIZE)
     opened = InferenceEngine(

@@ -40,6 +40,8 @@ from repro.core.model import DeepCsiModelConfig
 from repro.core.service import StreamingService, shard_for_source
 from repro.datasets.containers import FeedbackSample
 from repro.datasets.features import FeatureConfig, strided_subcarriers
+from repro.feedback.givens import compress_v_matrix
+from repro.feedback.quantization import QuantizationConfig, quantize_angles
 from repro.nn.training import TrainingConfig
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") not in ("", "0")
@@ -109,14 +111,18 @@ def traffic():
 
     Every source sounds FRAMES_PER_SOURCE times; consecutive frames belong
     to different sources, like a monitor-mode capture of a dense network.
+    Each frame is the angle codewords of a random ``V~``, quantised at the
+    edge as the beamformee sends them.
     """
     rng = np.random.default_rng(11)
+    config = QuantizationConfig()
     per_source = {
-        f"02:00:00:00:{index // 256:02x}:{index % 256:02x}": list(
-            _random_v_batch(
+        f"02:00:00:00:{index // 256:02x}:{index % 256:02x}": [
+            quantize_angles(compress_v_matrix(v), config)
+            for v in _random_v_batch(
                 rng, FRAMES_PER_SOURCE, NUM_SUBCARRIERS, NUM_TX, NUM_STREAMS
             )
-        )
+        ]
         for index in range(NUM_SOURCES)
     }
     stream = []

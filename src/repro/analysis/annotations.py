@@ -10,9 +10,9 @@ enforce them mechanically.  Three kinds of annotation exist:
     checker forbids per-call batch allocations (``np.stack`` /
     ``np.concatenate`` / ``np.array``, list-append loops, dtype-less
     ``np.zeros`` / ``np.empty``): hot-path buffers must come from grow-only
-    arenas (:class:`repro.nn.compute.ArenaPool`,
-    ``InferenceEngine._stage_batch``) so steady-state inference performs no
-    large allocations.
+    arenas (:class:`repro.arena.ArenaPool`, as
+    ``InferenceEngine._stage_codewords`` uses) so steady-state inference
+    performs no large allocations.
 
 ``# guarded-by: <lock_attr>`` (comment)
     Placed on an instance-attribute assignment (normally in ``__init__``),

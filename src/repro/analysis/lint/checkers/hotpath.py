@@ -134,7 +134,7 @@ class HotPathAllocationChecker(Checker):
                     message=(
                         f"np.{name}() allocates a fresh array on every call; "
                         f"stage through a grow-only arena buffer "
-                        f"(ArenaPool.get / _stage_batch) or write into a "
+                        "(ArenaPool.get) or write into a "
                         f"preallocated out= target"
                     ),
                 )

@@ -9,8 +9,9 @@ Seven sub-commands cover the everyday workflow without writing Python:
   a stored dataset and persist the model.
 * ``repro-csi evaluate`` -- evaluate a stored model on a stored dataset split
   and print the confusion matrix.
-* ``repro-csi authenticate`` -- stream a dataset split through the batched
-  :class:`~repro.core.engine.InferenceEngine` (micro-batched hot path) and
+* ``repro-csi authenticate`` -- quantise a dataset split to angle codewords
+  and stream it through the batched
+  :class:`~repro.core.engine.InferenceEngine` (micro-batched hot path);
   report per-module verdicts plus throughput.
 * ``repro-csi serve`` -- emulate the always-on observer: interleave the
   split's modules into one multi-source stream and push it through the
@@ -59,7 +60,7 @@ from repro.datasets.generator import (
 from repro.datasets.io import load_dataset, save_dataset
 from repro.datasets.adversarial import spoofed_feedback_samples
 from repro.feedback.givens import compress_v_matrix
-from repro.feedback.quantization import QuantizationConfig, quantize_angles
+from repro.feedback.quantization import QuantizationConfig, QuantizedAngles, quantize_angles
 from repro.datasets.splits import (
     D1_SPLITS,
     D2_SPLITS,
@@ -188,6 +189,20 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _codewords(samples: Sequence[FeedbackSample]) -> List[QuantizedAngles]:
+    """Quantise every sample's ``V~`` as an 802.11ac beamformee sends it.
+
+    The streaming path takes frames or their angle codewords, so a split is
+    Givens-compressed and quantised at the edge; the engines rebuild ``V~``
+    from the integer codewords on their trig-LUT path.
+    """
+    quantization = QuantizationConfig()
+    return [
+        quantize_angles(compress_v_matrix(sample.v_tilde), quantization)
+        for sample in samples
+    ]
+
+
 def _cmd_authenticate(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset_path)
     _, test = _apply_split(dataset, args.split, args.beamformee)
@@ -202,19 +217,7 @@ def _cmd_authenticate(args: argparse.Namespace) -> int:
         profile=args.profile,
     )
     results = []
-    if args.codewords:
-        # Exercise the codeword-native preprocessing path end to end: the
-        # split's V~ matrices are Givens-compressed and quantised like an
-        # 802.11ac beamformee would send them, and the engine reconstructs
-        # from the integer codewords on its trig-LUT fast path.
-        quantization = QuantizationConfig()
-        observations = [
-            quantize_angles(compress_v_matrix(sample.v_tilde), quantization)
-            for sample in test
-        ]
-    else:
-        observations = list(test)
-    for sample, observation in zip(test, observations):
+    for sample, observation in zip(test, _codewords(test)):
         results.extend(
             engine.submit(observation, source=f"module-{sample.module_id:02d}")
         )
@@ -347,8 +350,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # the same forward the shards run.
         classifier.set_compute(args.compute)
     open_set = _build_open_set(args, classifier, train)
-    stream = _interleave_by_module(test) * args.repeat
-    labels = [sample.module_id for _, sample in stream]
+    interleaved = _interleave_by_module(test)
+    codewords = _codewords([sample for _, sample in interleaved])
+    stream = [
+        (source, quantized)
+        for (source, _), quantized in zip(interleaved, codewords)
+    ] * args.repeat
+    labels = [sample.module_id for _, sample in interleaved] * args.repeat
     workers = resolve_num_workers(args.workers, args.backend)
     swap_at = len(stream) // 2 if args.swap_demo else 0
     print(
@@ -371,8 +379,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         precision=args.precision,
     ) as service:
         results = []
-        for submitted, (source, sample) in enumerate(stream, start=1):
-            service.submit(sample, source=source)
+        for submitted, (source, quantized) in enumerate(stream, start=1):
+            service.submit(quantized, source=source)
             results.extend(service.collect())
             if swap_at and submitted == swap_at:
                 version = service.swap_model(classifier)
@@ -572,12 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
         "fast (complex64/float32 tables)",
     )
     authenticate.add_argument(
-        "--codewords",
-        action="store_true",
-        help="submit Givens-quantised integer codewords instead of ready V~ "
-        "matrices, exercising the codeword-native preprocessing path",
-    )
-    authenticate.add_argument(
         "--profile",
         action="store_true",
         help="accumulate and print per-stage preprocessing and per-layer "
@@ -679,8 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--precision",
         default="exact",
         choices=PRECISION_NAMES,
-        help="preprocessing precision every shard engine applies to "
-        "quantised-codeword observations (exact = bitwise float64 LUTs, "
+        help="preprocessing precision every shard engine applies to the "
+        "angle codewords (exact = bitwise float64 LUTs, "
         "fast = complex64/float32)",
     )
     serve.set_defaults(handler=_cmd_serve)

@@ -18,10 +18,10 @@ shard engines run* to an :class:`ExecutionBackend`:
   while its scratch arenas are dropped on pickling and rebuilt lazily in
   the child.  Afterwards the hot path moves
   frames through a :class:`~repro.core.transport.ShmRing` shared-memory ring
-  buffer - raw angle/``V~`` bytes plus a compact header, never a pickled
-  NumPy object per frame.  Compact per-frame *results* (module id,
+  buffer - raw frame or codeword bytes plus a compact header, never a
+  pickled NumPy object per frame.  Compact per-frame *results* (module id,
   confidence, source, sequence) return over a ``multiprocessing`` queue,
-  batched per micro-batch, together with a consistent
+  batched per micro-batch, together with the worker engine's consistent
   :class:`~repro.core.engine.EngineStats` snapshot.
 
 Both backends provide the same invariants the service documents:
@@ -53,8 +53,6 @@ from collections import deque
 from dataclasses import replace
 from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.core.engine import (
     EngineResult,
     EngineStats,
@@ -72,16 +70,12 @@ from repro.core.transport import (
     RECORD_STOP,
     Record,
     ShmRing,
-    pack_array_record,
     pack_codeword_record,
     pack_control_record,
     pack_frame_record,
     pack_model_swap_record,
 )
-from repro.datasets.containers import FeedbackSample
-from repro.feedback.capture import CapturedFeedback
 from repro.feedback.frames import FeedbackFrame
-from repro.feedback.quantization import QuantizedAngles
 
 if TYPE_CHECKING:
     from repro.core.classifier import DeepCsiClassifier
@@ -328,25 +322,6 @@ class ThreadBackend:
 # --------------------------------------------------------------------------- #
 # Process backend
 # --------------------------------------------------------------------------- #
-#: Plain-data form of a worker's EngineStats shipped to the parent.
-_StatsTuple = Tuple[int, int, int, float, int, int, Tuple[int, ...], str, str]
-
-
-def _stats_tuple(engine: InferenceEngine) -> _StatsTuple:
-    stats = engine.stats  # consistent snapshot
-    return (
-        stats.frames_in,
-        stats.frames_out,
-        stats.batches,
-        stats.inference_seconds,
-        stats.frames_rejected,
-        stats.model_version,
-        stats.score_histogram,
-        stats.compute,
-        stats.precision,
-    )
-
-
 def _shard_worker_main(
     shard_index: int,
     classifier: "DeepCsiClassifier",
@@ -360,7 +335,8 @@ def _shard_worker_main(
     the shared-memory ring: observation records feed the engine through the
     same submission path as the thread backend, control records flush/stop.
     Results are re-stamped with the service-wide sequence numbers and shipped
-    back per micro-batch, together with a consistent stats snapshot.
+    back per micro-batch, together with the engine's consistent
+    :attr:`~repro.core.engine.InferenceEngine.stats` snapshot.
     """
     engine = InferenceEngine(classifier, **engine_kwargs)
     sequences: Deque[int] = deque()
@@ -382,7 +358,7 @@ def _shard_worker_main(
             )
             for result in batch
         ]
-        results.put(("results", shard_index, compact, _stats_tuple(engine)))
+        results.put(("results", shard_index, compact, engine.stats))
 
     while True:
         record = ring.get()
@@ -405,9 +381,7 @@ def _shard_worker_main(
                     results.put(
                         ("error", shard_index, f"{type(exc).__name__}: {exc}")
                     )
-            results.put(
-                ("swapped", shard_index, swap.version, _stats_tuple(engine))
-            )
+            results.put(("swapped", shard_index, swap.version, engine.stats))
             continue
         if record.kind in (RECORD_FLUSH, RECORD_STOP):
             if not failed:
@@ -420,12 +394,10 @@ def _shard_worker_main(
                         ("error", shard_index, f"{type(exc).__name__}: {exc}")
                     )
             if record.kind == RECORD_STOP:
-                results.put(("stopped", shard_index, _stats_tuple(engine)))
+                results.put(("stopped", shard_index, engine.stats))
                 ring.close()
                 return
-            results.put(
-                ("flushed", shard_index, record.sequence, _stats_tuple(engine))
-            )
+            results.put(("flushed", shard_index, record.sequence, engine.stats))
             continue
         if failed:
             # Keep consuming so the producer never deadlocks on a full ring.
@@ -467,9 +439,10 @@ class ProcessBackend:
 
     name = "processes"
 
-    #: Default ring slot size; one slot comfortably fits the paper's 80 MHz
-    #: geometry ((234, 3, 2) complex128 ~ 22 KiB + header), larger frames
-    #: span several consecutive slots automatically.
+    #: Default ring slot size.  A paper-geometry frame or codeword record
+    #: (~3 KB) takes one slot; a model-swap blob spans consecutive slots,
+    #: and since a record may use at most ``queue_depth`` of them, the slot
+    #: size times the depth bounds the largest model a swap can ship.
     DEFAULT_SLOT_BYTES = 32768
 
     def __init__(
@@ -573,22 +546,9 @@ class ProcessBackend:
             return pack_frame_record(
                 sequence, source, observation.timestamp_s, observation.payload
             )
-        if isinstance(observation, (CapturedFeedback, FeedbackSample)):
-            return pack_array_record(
-                sequence,
-                source,
-                observation.timestamp_s,
-                np.asarray(observation.v_tilde),
-            )
-        if isinstance(observation, QuantizedAngles):
-            # Codewords ride the ring as compact int16 payloads (~8x smaller
-            # than the complex128 V~ record for the same geometry); the
-            # worker-side engine reconstructs on its own arena.
-            return pack_codeword_record(sequence, source, 0.0, observation)
-        # Anything else is handed to the worker engine as an array, which
-        # validates the (K, M, N_SS) shape there - same point of failure as
-        # the thread backend.
-        return pack_array_record(sequence, source, 0.0, np.asarray(observation))
+        # Codewords ride the ring as compact int16 payloads; the worker-side
+        # engine reconstructs on its own arena.
+        return pack_codeword_record(sequence, source, 0.0, observation)
 
     @staticmethod
     def _decode(record: Record) -> Observation:
@@ -599,11 +559,8 @@ class ProcessBackend:
         """
         if record.kind == RECORD_FRAME:
             return FeedbackFrame(record.source, "", record.timestamp_s, record.payload)
-        if record.kind == RECORD_CODEWORDS:
-            assert record.quantized is not None
-            return record.quantized
-        assert record.array is not None
-        return CapturedFeedback(record.array, record.source, "", record.timestamp_s)
+        assert record.kind == RECORD_CODEWORDS and record.quantized is not None
+        return record.quantized
 
     def _count_backpressure(self) -> None:
         with self._counter_lock:
@@ -712,7 +669,7 @@ class ProcessBackend:
         kind, shard_index = message[0], message[1]
         shard = self.shards[shard_index]
         if kind == "results":
-            _, _, compact, stats = message
+            _, _, compact, shard.stats = message
             for (
                 sequence,
                 module_id,
@@ -739,53 +696,24 @@ class ProcessBackend:
                 shard.windows.append(result)
                 if shard.drift is not None:
                     shard.drift.observe(source, score)
-            self._apply_stats(shard, stats)
         elif kind == "flushed":
-            _, _, flush_id, stats = message
-            self._apply_stats(shard, stats)
+            _, _, flush_id, shard.stats = message
             acks = self._flush_acks.get(flush_id)
             if acks is not None:
                 acks.add(shard_index)
         elif kind == "swapped":
-            _, _, swap_version, stats = message
-            self._apply_stats(shard, stats)
+            _, _, swap_version, shard.stats = message
             acks = self._swap_acks.get(swap_version)
             if acks is not None:
                 acks.add(shard_index)
         elif kind == "stopped":
-            _, _, stats = message
-            self._apply_stats(shard, stats)
+            _, _, shard.stats = message
             shard.stopped = True
             self._stopped_shards.add(shard_index)
         elif kind == "error":
             _, _, text = message
             if self._failure is None:
                 self._failure = f"worker process {shard_index} failed: {text}"
-
-    @staticmethod
-    def _apply_stats(shard: _ProcessShard, stats: _StatsTuple) -> None:
-        (
-            frames_in,
-            frames_out,
-            batches,
-            inference_seconds,
-            frames_rejected,
-            model_version,
-            score_histogram,
-            compute,
-            precision,
-        ) = stats
-        shard.stats = EngineStats(
-            frames_in=frames_in,
-            frames_out=frames_out,
-            batches=batches,
-            inference_seconds=inference_seconds,
-            frames_rejected=frames_rejected,
-            model_version=model_version,
-            score_histogram=tuple(score_histogram),
-            compute=compute,
-            precision=precision,
-        )
 
     # -- introspection -------------------------------------------------- #
     def verdict(self, shard_index: int, source: str) -> MajorityVerdict:

@@ -10,8 +10,8 @@ per frame.
 :class:`InferenceEngine` turns the per-frame API into a micro-batched
 streaming one:
 
-* observations (raw frames, parsed captures, samples or plain ``V~``
-  arrays) are buffered and classified in micro-batches of ``batch_size``;
+* observations -- raw frames or their quantised angle codewords -- are
+  buffered and classified in micro-batches of ``batch_size``;
 * ``max_latency_frames`` bounds how many frames may sit in the buffer
   before a partial batch is forced out, trading throughput for latency;
 * raw :class:`~repro.feedback.frames.FeedbackFrame` payloads are parsed to
@@ -57,9 +57,7 @@ import numpy as np
 from repro.analysis.annotations import hot_path
 from repro.arena import ArenaPool
 from repro.core.classifier import DeepCsiClassifier
-from repro.datasets.containers import FeedbackSample
 from repro.datasets.features import FeatureExtractor
-from repro.feedback.capture import CapturedFeedback
 from repro.feedback.frames import FeedbackFrame, parse_feedback_frame
 from repro.feedback.givens import reconstruct_accumulator_quantized
 from repro.feedback.quantization import QuantizedAngles
@@ -72,10 +70,10 @@ class EngineError(ValueError):
     """Raised for invalid engine configurations or inputs."""
 
 
-#: Anything the engine can classify.
-Observation = Union[
-    FeedbackFrame, CapturedFeedback, FeedbackSample, QuantizedAngles, np.ndarray
-]
+#: The two observation forms the streaming path classifies: the bytes of a
+#: sniffed frame, or the quantised angle codewords such a frame carries.
+OBSERVATION_TYPES = (FeedbackFrame, QuantizedAngles)
+Observation = Union[FeedbackFrame, QuantizedAngles]
 
 #: Names of the engine's preprocessing precisions.
 PRECISION_NAMES = ("exact", "fast")
@@ -88,6 +86,21 @@ UNKNOWN_MODULE_ID = -1
 
 #: Number of equal-width [0, 1] bins in the open-set score histogram.
 SCORE_HISTOGRAM_BINS = 16
+
+
+def check_observation(observation: object) -> None:
+    """Raise :class:`EngineError` unless ``observation`` is an :data:`Observation`.
+
+    A ready ``V~`` (bare or in a sample or capture) is refused: quantise it
+    at the edge with ``quantize_angles(compress_v_matrix(v), config)``, as a
+    beamformee does before it sends the frame.
+    """
+    if not isinstance(observation, OBSERVATION_TYPES):
+        raise EngineError(
+            "expected a FeedbackFrame or QuantizedAngles, got "
+            f"{type(observation).__name__}; quantise a V~ with "
+            "quantize_angles(compress_v_matrix(v), config) first"
+        )
 
 
 @dataclass(frozen=True)
@@ -169,10 +182,9 @@ class StageProfile:
 
     The preprocessing analogue of :class:`repro.nn.model.LayerProfile`:
     ``reconstruct`` covers staging + Givens reconstruction of a quantised
-    micro-batch, ``features`` the feature-tensor extraction (for ready
-    ``V~`` observations, which need no reconstruction, it includes their
-    staging), and ``inference`` the normalisation + CNN forward (one call
-    each per processed group).
+    micro-batch, ``features`` the feature-tensor extraction, and
+    ``inference`` the normalisation + CNN forward (one call each per
+    processed group).
     """
 
     name: str
@@ -380,11 +392,7 @@ class _PendingObservation:
     sequence: int
     source: str
     timestamp_s: float
-    # Exactly one of the two payloads is set: a parsed quantised feedback
-    # (raw frames and codeword records, decoded through the codeword-native
-    # batched Givens path) or a ready ``V~`` matrix.
-    quantized: Optional[QuantizedAngles] = None
-    v_tilde: Optional[np.ndarray] = None
+    quantized: QuantizedAngles
 
 
 class InferenceEngine:
@@ -428,9 +436,8 @@ class InferenceEngine:
         :meth:`DeepCsiClassifier.set_compute`.  ``None`` keeps whatever the
         classifier already uses.
     precision:
-        Preprocessing precision of the codeword-native path used for
-        quantised observations (raw frames, codeword records,
-        :class:`~repro.feedback.quantization.QuantizedAngles`):
+        Preprocessing precision of the codeword-native path every
+        observation takes:
 
         * ``"exact"`` (default) gathers the float64/complex128 trig LUTs --
           bit-identical features and verdicts to the historical
@@ -438,8 +445,6 @@ class InferenceEngine:
         * ``"fast"`` gathers the complex64/float32 LUTs, halving the
           preprocessing memory traffic; pairs naturally with the ``fp32``
           compute backend.
-
-        Ready ``V~`` observations keep their own dtype either way.
     profile:
         When true, per-layer forward timings are accumulated and surfaced
         through :attr:`EngineStats.layer_profile`.  The coarser per-stage
@@ -451,7 +456,7 @@ class InferenceEngine:
     ::
 
         engine = InferenceEngine(classifier, batch_size=64)
-        for frame in sniffer:                    # any Observation type
+        for frame in sniffer:                    # FeedbackFrame or QuantizedAngles
             for result in engine.submit(frame):  # [] until a batch is due
                 handle(result)
         engine.flush()                           # classify the partial batch
@@ -509,9 +514,6 @@ class InferenceEngine:
         self._pending: List[_PendingObservation] = []
         self._windows = SourceWindows(vote_window, max_sources, reject_streak)
         self._sequence = 0
-        # Grow-only staging buffers, one per (V~ shape, dtype), reused across
-        # batches so steady-state batching performs no large allocations.
-        self._batch_buffers: Dict[tuple, np.ndarray] = {}
         # Arena backing the codeword-native preprocessing path (codeword
         # staging, Givens accumulator + scratch, feature gathers/output).
         self._arena = ArenaPool()
@@ -607,8 +609,8 @@ class InferenceEngine:
     ) -> List[EngineResult]:
         """Buffer one observation; classify the buffer when it is due.
 
-        Frames and captured feedbacks carry their own source address, which
-        is used unless ``source`` overrides it.
+        Frames carry their own source address and timestamp; the address is
+        used unless ``source`` overrides it.
 
         Returns
         -------
@@ -621,9 +623,10 @@ class InferenceEngine:
         FrameError
             When a frame's payload does not parse.
         EngineError
-            When a ``V~`` (bare or carried) is not a ``(K, M, N_SS)`` array.
-            A rejected observation is not buffered or counted and takes no
-            sequence number.
+            When the observation is neither a ``FeedbackFrame`` nor
+            ``QuantizedAngles`` (see :func:`check_observation`).  A rejected
+            observation is not buffered or counted and takes no sequence
+            number.
         """
         return self._enqueue(self._normalise(observation, source))
 
@@ -704,31 +707,15 @@ class InferenceEngine:
         self, observation: Observation, source: Optional[str]
     ) -> _PendingObservation:
         """Parse and validate one observation; take its sequence number last."""
-        own_source = ANONYMOUS_SOURCE
-        timestamp_s = 0.0
-        quantized: Optional[QuantizedAngles] = None
-        v_tilde: Optional[np.ndarray] = None
+        check_observation(observation)
         if isinstance(observation, FeedbackFrame):
             _, quantized = parse_feedback_frame(observation.payload)
             own_source = observation.source_address
             timestamp_s = observation.timestamp_s
-        elif isinstance(observation, QuantizedAngles):
-            quantized = observation
-        elif isinstance(observation, CapturedFeedback):
-            v_tilde = np.asarray(observation.v_tilde)
-            own_source = observation.source_address
-            timestamp_s = observation.timestamp_s
-        elif isinstance(observation, FeedbackSample):
-            v_tilde = np.asarray(observation.v_tilde)
-            timestamp_s = observation.timestamp_s
         else:
-            v_tilde = np.asarray(observation)
-        if v_tilde is not None and v_tilde.ndim != 3:
-            raise EngineError(
-                "expected a FeedbackFrame, QuantizedAngles or a (K, M, N_SS) V~ "
-                f"(bare or in a CapturedFeedback/FeedbackSample), got shape "
-                f"{v_tilde.shape}"
-            )
+            quantized = observation
+            own_source = ANONYMOUS_SOURCE
+            timestamp_s = 0.0
         sequence = self._sequence
         self._sequence += 1
         return _PendingObservation(
@@ -736,28 +723,7 @@ class InferenceEngine:
             source=source if source is not None else own_source,
             timestamp_s=timestamp_s,
             quantized=quantized,
-            v_tilde=v_tilde,
         )
-
-    @hot_path
-    def _stage_batch(self, entries: List[_PendingObservation]) -> np.ndarray:
-        """Copy same-shape observations into a reusable staging buffer.
-
-        Equivalent to ``np.stack`` but without a fresh batch-sized
-        allocation per micro-batch: the buffer grows to the largest batch
-        seen and later batches reuse (a view of) it.
-        """
-        dtype = np.result_type(*(entry.v_tilde.dtype for entry in entries))
-        shape = entries[0].v_tilde.shape
-        slot = (shape, dtype)
-        buffer = self._batch_buffers.get(slot)
-        if buffer is None or buffer.shape[0] < len(entries):
-            buffer = np.empty((len(entries), *shape), dtype=dtype)
-            self._batch_buffers[slot] = buffer
-        staged = buffer[: len(entries)]
-        for position, entry in enumerate(entries):
-            staged[position] = entry.v_tilde
-        return staged
 
     @hot_path
     def _stage_codewords(
@@ -765,13 +731,11 @@ class InferenceEngine:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Stage the selected sub-carriers' codewords in int16 arena buffers."""
         first = entries[0].quantized
-        assert first is not None
         batch = len(entries)
         arena = self._arena
         full_phi = arena.get(("stage", "q_phi"), (batch,) + first.q_phi.shape, dtype=np.int16)
         full_psi = arena.get(("stage", "q_psi"), (batch,) + first.q_psi.shape, dtype=np.int16)
         for position, entry in enumerate(entries):
-            assert entry.quantized is not None
             full_phi[position] = entry.quantized.q_phi
             full_psi[position] = entry.quantized.q_psi
         # Whole-frame copies and one batched take beat a take per frame.
@@ -849,29 +813,23 @@ class InferenceEngine:
         # Reads a staged accumulator whose rows already are the selection.
         staged_extractor = FeatureExtractor(replace(extractor.config, subcarrier_positions=None))
 
-        # Quantised observations take the codeword-native path: group by
-        # (config, geometry), stage only the K_sel sub-carriers the features
-        # read, gather the trig LUTs straight from those codewords and extract
-        # features from the (B, K_sel, M, M) Givens accumulator without
-        # materialising V~ (each row is bit-identical to a full-K rebuild's).
-        # Ready V~ observations are grouped by shape and staged as before.
-        # Mixed batches are classified per group but reported in input order;
-        # the CNN forward is per-sample, so the split never changes a verdict.
+        # Group by (config, geometry), stage only the K_sel sub-carriers the
+        # features read, gather the trig LUTs straight from those codewords
+        # and extract features from the (B, K_sel, M, M) Givens accumulator
+        # without materialising V~ (each row is bit-identical to a full-K
+        # rebuild's).  Mixed batches are classified per group but reported in
+        # input order; the fp64 forward gives a sample the same bits in any
+        # batch (``batch_invariant_matmul``), so the split changes no result.
         quantized_groups: Dict[tuple, List[_PendingObservation]] = {}
-        vtilde_groups: Dict[tuple, List[_PendingObservation]] = {}
         for entry in pending:
-            if entry.quantized is not None:
-                quantized = entry.quantized
-                key = (
-                    quantized.config,
-                    quantized.num_tx,
-                    quantized.num_streams,
-                    quantized.num_subcarriers,
-                )
-                quantized_groups.setdefault(key, []).append(entry)
-            else:
-                assert entry.v_tilde is not None
-                vtilde_groups.setdefault(entry.v_tilde.shape, []).append(entry)
+            quantized = entry.quantized
+            key = (
+                quantized.config,
+                quantized.num_tx,
+                quantized.num_streams,
+                quantized.num_subcarriers,
+            )
+            quantized_groups.setdefault(key, []).append(entry)
 
         open_set = self._open_set is not None
         rejected = 0
@@ -897,25 +855,6 @@ class InferenceEngine:
             features = staged_extractor.transform_accumulator(
                 accumulator, num_streams, arena=self._arena
             )
-            tick = time.perf_counter_ns()
-            stage_ns["features"] += tick - tock
-            stage_calls["features"] += 1
-            ids, confidences, scores, accepted = self._classify_features(features)
-            tock = time.perf_counter_ns()
-            stage_ns["inference"] += tock - tick
-            stage_calls["inference"] += 1
-            if open_set:
-                rejected += int(len(accepted) - np.count_nonzero(accepted))
-                hist += self._histogram(scores)
-            self._emit_results(
-                entries, ids, confidences, scores, accepted, results, index_of
-            )
-
-        for entries in vtilde_groups.values():
-            # Ready V~ matrices need no reconstruction: their staging is
-            # booked as part of the ``features`` stage.
-            tock = time.perf_counter_ns()
-            features = extractor.transform_matrices(self._stage_batch(entries))
             tick = time.perf_counter_ns()
             stage_ns["features"] += tick - tock
             stage_calls["features"] += 1

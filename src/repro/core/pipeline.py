@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from repro.core.classifier import DeepCsiClassifier
-from repro.core.engine import UNKNOWN_MODULE_ID, InferenceEngine
+from repro.core.engine import UNKNOWN_MODULE_ID, InferenceEngine, Observation
 from repro.core.service import StreamingService
 from repro.datasets.containers import FeedbackSample
 from repro.feedback.capture import CapturedFeedback, MonitorCapture
@@ -131,9 +131,7 @@ class AuthenticationPipeline:
 
     def authenticate_batch(
         self,
-        observations: Sequence[
-            Union[FeedbackFrame, CapturedFeedback, FeedbackSample, np.ndarray]
-        ],
+        observations: Sequence[Observation],
         claimed_module_id: Optional[int] = None,
         batch_size: int = 64,
         workers: int = 1,
@@ -141,6 +139,11 @@ class AuthenticationPipeline:
     ) -> List[AuthenticationResult]:
         """Authenticate many observations through the batched engine.
 
+        The observations are frames or their
+        :class:`~repro.feedback.quantization.QuantizedAngles`, the two forms
+        the streaming path takes; anything else raises at its submit
+        (:class:`~repro.core.engine.EngineError`, or
+        :class:`~repro.core.service.ServiceError` with ``workers > 1``).
         With ``workers > 1`` the observations are routed through a sharded
         :class:`~repro.core.service.StreamingService` (one engine per worker,
         sources assigned to shards by stable hash); the per-frame decisions

@@ -66,15 +66,16 @@ from repro.core.classifier import DeepCsiClassifier
 from repro.core.engine import (
     ANONYMOUS_SOURCE,
     PRECISION_NAMES,
+    EngineError,
     EngineResult,
     EngineStats,
     MajorityVerdict,
     Observation,
+    check_observation,
 )
 from repro.core.lifecycle import DriftConfig, DriftStatus, LifecycleError, ModelVersion
 from repro.core.openset import OpenSetAuthenticator, OpenSetPolicy
 from repro.core.transport import TransportError
-from repro.feedback.capture import CapturedFeedback
 from repro.feedback.frames import FeedbackFrame
 
 
@@ -291,8 +292,6 @@ class StreamingService:
         default float64/complex128 LUT path, bitwise identical to the
         legacy dequantise+reconstruct pipeline) or ``"fast"``
         (float32/complex64 tables; pairs naturally with ``compute="fp32"``).
-        Only affects quantised-codeword observations; ready ``V~`` arrays
-        keep their own dtype.
 
     Notes
     -----
@@ -394,17 +393,20 @@ class StreamingService:
         """Resolve the routing key exactly like the engine resolves sources."""
         if source is not None:
             return source
-        if isinstance(observation, (FeedbackFrame, CapturedFeedback)):
+        if isinstance(observation, FeedbackFrame):
             return observation.source_address
         return ANONYMOUS_SOURCE
 
     def submit(self, observation: Observation, source: Optional[str] = None) -> None:
         """Enqueue one observation for asynchronous classification.
 
-        Routes by the stable hash of the source address (frames and captured
-        feedbacks carry their own, ``source`` overrides it) and returns as
-        soon as the observation sits in the shard's queue/ring.  Blocks only
-        when that shard is full (backpressure).
+        Routes by the stable hash of the source address (frames carry their
+        own, ``source`` overrides it) and returns as soon as the observation
+        sits in the shard's queue/ring.  Blocks only when that shard is full
+        (backpressure).  Anything but a
+        :class:`~repro.feedback.frames.FeedbackFrame` or
+        :class:`~repro.feedback.quantization.QuantizedAngles` raises
+        :class:`ServiceError` here, before it takes a sequence number.
 
         Safe to call from several producer threads at once (the service-wide
         sequence stamp is taken under a lock, and sources on the same shard
@@ -413,6 +415,10 @@ class StreamingService:
         race them against in-flight :meth:`submit` calls.
         """
         self._check_usable()
+        try:
+            check_observation(observation)
+        except EngineError as error:
+            raise ServiceError(str(error)) from error
         key = self._source_key(observation, source)
         shard_index = shard_for_source(key, self.num_workers)
         with self._submit_lock:

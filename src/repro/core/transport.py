@@ -2,7 +2,7 @@
 
 When :class:`~repro.core.service.StreamingService` runs its shards in child
 *processes*, every sniffed observation has to cross a process boundary on
-the hot path.  Pickling a NumPy ``V~`` matrix per frame through a
+the hot path.  Pickling each frame or codeword array through a
 ``multiprocessing.Queue`` would pay serialisation, copy and pipe-write costs
 per frame - exactly the per-frame dispatch overhead the batched engine was
 built to avoid.
@@ -14,9 +14,9 @@ a ``multiprocessing.shared_memory`` segment:
   ``ceil(record_bytes / slot_bytes)`` *consecutive* slots, so arbitrarily
   large frames are supported without per-record allocation;
 * each record is a compact binary layout (:data:`_HEADER` + UTF-8 source
-  address + raw payload bytes): the frame, codeword or ``V~`` payload is
-  copied into the shared segment by the producer and out of it by the
-  consumer - no pickling anywhere on the frame path;
+  address + raw payload bytes): the frame or codeword payload is copied
+  into the shared segment by the producer and out of it by the consumer -
+  no pickling anywhere on the frame path;
 * free/filled accounting uses two ``multiprocessing`` semaphores, which
   double as the backpressure mechanism: a full ring blocks the producer
   exactly like the bounded ``queue.Queue`` of the thread backend;
@@ -26,7 +26,6 @@ a ``multiprocessing.shared_memory`` segment:
 Record kinds:
 
 ========================  ====================================================
-:data:`RECORD_VTILDE`     a ready ``V~`` array (dtype + shape + raw bytes)
 :data:`RECORD_FRAME`      a raw VHT action-frame payload (quantised angles)
 :data:`RECORD_FLUSH`      control: flush the shard engine, ack with the
                           echoed ``sequence`` (used as a flush generation id)
@@ -48,11 +47,11 @@ subheader (:data:`_CODEWORD_HEADER`: ``b_phi``, ``b_psi``, ``strict``,
 followed by the little-endian ``int16`` ``q_phi`` then ``q_psi`` codeword
 planes (their per-sub-carrier counts follow from the geometry via
 :func:`repro.feedback.givens.angle_counts`).  For the paper's 80 MHz
-``(K, M, N_SS) = (234, 3, 2)`` geometry that is 2 815 payload bytes against
-the 22 464 bytes of the equivalent complex128 ``V~`` record - about 8x less
-ring traffic - and reconstruction moves behind the ring onto the worker
-side, where the engine's codeword fast path consumes the codewords without
-ever materialising the angles.
+``(K, M, N_SS) = (234, 3, 2)`` geometry that is 2 815 payload bytes, an
+eighth of the 22 464 bytes of the complex128 ``V~`` they encode, and
+reconstruction happens behind the ring on the worker side, where the
+engine's codeword fast path consumes the codewords without ever
+materialising the angles.
 
 :data:`RECORD_MODEL_SWAP` rides the same ring as the frames it must be
 ordered against: because the ring is strictly FIFO, every frame enqueued
@@ -70,7 +69,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -83,7 +82,6 @@ class TransportError(RuntimeError):
 
 
 #: Record kinds (see the module docstring).
-RECORD_VTILDE = 0
 RECORD_FRAME = 1
 RECORD_FLUSH = 2
 RECORD_STOP = 3
@@ -92,14 +90,10 @@ RECORD_MODEL_SWAP = 5
 
 _CONTROL_KINDS = (RECORD_FLUSH, RECORD_STOP)
 
-#: Fixed record header: kind (u8), ndim (u8), dtype string (8 bytes,
-#: NUL-padded, e.g. ``<c16``), source length (u16), payload bytes (u32),
-#: service-wide sequence (u64), capture timestamp (f64), shape (4 x u32).
-#: ``<`` keeps the layout packed and platform-independent.
-_HEADER = struct.Struct("<BB8sHIQd4I")
-
-#: Largest ndarray rank the header's fixed shape field can carry.
-MAX_NDIM = 4
+#: Fixed record header: kind (u8), source length (u16), payload bytes (u32),
+#: service-wide sequence (u64), capture timestamp (f64).  ``<`` keeps the
+#: layout packed and platform-independent.
+_HEADER = struct.Struct("<BHIQd")
 
 #: Subheader of :data:`RECORD_CODEWORDS` payloads: b_phi (u8), b_psi (u8),
 #: strict flag (u8), num_tx (u8), num_streams (u8), num_subcarriers (u16).
@@ -139,46 +133,17 @@ class Record:
     timestamp_s: float
     #: Raw frame payload for :data:`RECORD_FRAME` records.
     payload: bytes = b""
-    #: Decoded array for :data:`RECORD_VTILDE` records.
-    array: Optional[np.ndarray] = None
     #: Decoded codewords for :data:`RECORD_CODEWORDS` records.
     quantized: Optional[QuantizedAngles] = None
     #: Decoded swap payload for :data:`RECORD_MODEL_SWAP` records.
     swap: Optional[ModelSwap] = None
 
 
-def pack_array_record(
-    sequence: int, source: str, timestamp_s: float, array: np.ndarray
-) -> bytes:
-    """Encode a ready ``V~`` array as one :data:`RECORD_VTILDE` record."""
-    if array.ndim > MAX_NDIM:
-        raise TransportError(
-            f"cannot transport a {array.ndim}-dimensional array "
-            f"(the record header carries at most {MAX_NDIM} dimensions)"
-        )
-    dtype_str = array.dtype.str.encode("ascii")
-    if len(dtype_str) > 8:
-        raise TransportError(f"unsupported dtype {array.dtype!r}")
-    payload = np.ascontiguousarray(array).tobytes()
-    return _pack(
-        RECORD_VTILDE,
-        array.ndim,
-        dtype_str,
-        source,
-        payload,
-        sequence,
-        timestamp_s,
-        array.shape,
-    )
-
-
 def pack_frame_record(
     sequence: int, source: str, timestamp_s: float, payload: bytes
 ) -> bytes:
     """Encode a raw feedback-frame payload as one :data:`RECORD_FRAME`."""
-    return _pack(
-        RECORD_FRAME, 0, b"", source, bytes(payload), sequence, timestamp_s, ()
-    )
+    return _pack(RECORD_FRAME, source, bytes(payload), sequence, timestamp_s)
 
 
 def pack_codeword_record(
@@ -213,9 +178,7 @@ def pack_codeword_record(
     q_phi = np.ascontiguousarray(quantized.q_phi, dtype=_CODEWORD_DTYPE)
     q_psi = np.ascontiguousarray(quantized.q_psi, dtype=_CODEWORD_DTYPE)
     payload = subheader + q_phi.tobytes() + q_psi.tobytes()
-    return _pack(
-        RECORD_CODEWORDS, 0, b"", source, payload, sequence, timestamp_s, ()
-    )
+    return _pack(RECORD_CODEWORDS, source, payload, sequence, timestamp_s)
 
 
 def pack_model_swap_record(
@@ -239,67 +202,35 @@ def pack_model_swap_record(
         0.0 if open_set_threshold is None else float(open_set_threshold),
         len(blob),
     )
-    return _pack(
-        RECORD_MODEL_SWAP, 0, b"", "", subheader + bytes(blob), sequence, 0.0, ()
-    )
+    return _pack(RECORD_MODEL_SWAP, "", subheader + bytes(blob), sequence, 0.0)
 
 
 def pack_control_record(kind: int, sequence: int = 0) -> bytes:
     """Encode a flush/stop control token (``sequence`` echoes back in acks)."""
     if kind not in _CONTROL_KINDS:
         raise TransportError(f"not a control record kind: {kind}")
-    return _pack(kind, 0, b"", "", b"", sequence, 0.0, ())
+    return _pack(kind, "", b"", sequence, 0.0)
 
 
 def _pack(
-    kind: int,
-    ndim: int,
-    dtype_str: bytes,
-    source: str,
-    payload: bytes,
-    sequence: int,
-    timestamp_s: float,
-    shape: Tuple[int, ...],
+    kind: int, source: str, payload: bytes, sequence: int, timestamp_s: float
 ) -> bytes:
     source_bytes = source.encode("utf-8")
     if len(source_bytes) > 0xFFFF:
         raise TransportError("source address does not fit the record header")
-    padded_shape = tuple(shape) + (0,) * (MAX_NDIM - len(shape))
     header = _HEADER.pack(
-        kind,
-        ndim,
-        dtype_str,
-        len(source_bytes),
-        len(payload),
-        sequence,
-        timestamp_s,
-        *padded_shape,
+        kind, len(source_bytes), len(payload), sequence, timestamp_s
     )
     return header + source_bytes + payload
 
 
 def unpack_record(data: bytes) -> Record:
     """Decode one record produced by the ``pack_*`` helpers."""
-    (
-        kind,
-        ndim,
-        dtype_str,
-        source_len,
-        payload_len,
-        sequence,
-        timestamp_s,
-        *shape,
-    ) = _HEADER.unpack_from(data)
+    kind, source_len, payload_len, sequence, timestamp_s = _HEADER.unpack_from(data)
     offset = _HEADER.size
     source = bytes(data[offset : offset + source_len]).decode("utf-8")
     offset += source_len
     payload = bytes(data[offset : offset + payload_len])
-    if kind == RECORD_VTILDE:
-        dtype = np.dtype(dtype_str.rstrip(b"\x00").decode("ascii"))
-        array = np.frombuffer(bytearray(payload), dtype=dtype).reshape(
-            shape[:ndim]
-        )
-        return Record(kind, sequence, source, timestamp_s, array=array)
     if kind == RECORD_CODEWORDS:
         return Record(
             kind,
@@ -483,7 +414,7 @@ class ShmRing:
         self._filled_records.acquire()
         view = self._shm.buf
         start = self._tail * self.slot_bytes
-        _, _, _, source_len, payload_len, *_ = _HEADER.unpack_from(view, start)
+        _, source_len, payload_len, _, _ = _HEADER.unpack_from(view, start)
         total = _HEADER.size + source_len + payload_len
         needed = self.slots_needed(total)
         data = bytearray(total)
@@ -559,18 +490,15 @@ def segment_exists(name: str) -> bool:
 
 
 __all__ = [
-    "MAX_NDIM",
     "ModelSwap",
     "RECORD_CODEWORDS",
     "RECORD_FLUSH",
     "RECORD_FRAME",
     "RECORD_MODEL_SWAP",
     "RECORD_STOP",
-    "RECORD_VTILDE",
     "Record",
     "ShmRing",
     "TransportError",
-    "pack_array_record",
     "pack_codeword_record",
     "pack_control_record",
     "pack_frame_record",

@@ -17,21 +17,19 @@ network:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.analysis.annotations import hot_path
 from repro.feedback.frames import (
     FeedbackFrame,
     VhtMimoControl,
     pack_feedback_frame,
     parse_feedback_frame,
 )
-from repro.feedback.givens import compress_v_matrix, reconstruct_v_matrices
+from repro.feedback.givens import compress_v_matrix, reconstruct_v_matrices_quantized
 from repro.feedback.quantization import (
     QuantizationConfig,
-    dequantize_angles_batch,
     quantize_angles,
     stack_quantized_angles,
 )
@@ -69,43 +67,6 @@ class CapturedFeedback:
     source_address: str
     destination_address: str
     timestamp_s: float
-
-
-@hot_path
-def reconstruct_quantized_batch(parsed: Sequence) -> List[np.ndarray]:
-    """Rebuild ``V~`` for parsed feedbacks through the batched Givens path.
-
-    The :class:`~repro.feedback.quantization.QuantizedAngles` are grouped by
-    ``(K, M, N_SS)`` geometry and quantisation configuration, and each group
-    is de-quantised and reconstructed in one vectorised call.  The returned
-    matrices are in the input order.
-    """
-    groups: Dict[tuple, List[int]] = {}
-    for index, quantized in enumerate(parsed):
-        key = (
-            quantized.config,
-            quantized.num_tx,
-            quantized.num_streams,
-            quantized.num_subcarriers,
-        )
-        groups.setdefault(key, []).append(index)
-    v_tildes: List[Optional[np.ndarray]] = [None] * len(parsed)
-    for indices in groups.values():
-        q_phi, q_psi, config, num_tx, num_streams = stack_quantized_angles(
-            [parsed[index] for index in indices]
-        )
-        phi, psi = dequantize_angles_batch(q_phi, q_psi, config)
-        v_batch = reconstruct_v_matrices(phi, psi, num_tx, num_streams)
-        for position, index in enumerate(indices):
-            v_tildes[index] = v_batch[position]
-    return v_tildes
-
-
-def reconstruct_frame_batch(frames: Sequence[FeedbackFrame]) -> List[np.ndarray]:
-    """Parse and rebuild ``V~`` for every frame, in the input frame order."""
-    return reconstruct_quantized_batch(
-        [parse_feedback_frame(frame.payload)[1] for frame in frames]
-    )
 
 
 @dataclass
@@ -154,12 +115,34 @@ class MonitorCapture:
     ) -> List[CapturedFeedback]:
         """Parse and de-quantise every matching frame into ``V~`` matrices.
 
-        The reconstruction runs through the batched Givens path: frames are
-        grouped by geometry and quantisation configuration and every group is
-        rebuilt in one vectorised call.
+        Frames are grouped by quantisation configuration and ``(K, M, N_SS)``
+        geometry, and every group is rebuilt straight from its codewords in
+        one vectorised call
+        (:func:`~repro.feedback.givens.reconstruct_v_matrices_quantized`,
+        bit-identical to de-quantising the angles and then reconstructing).
+        The matrices come back in the capture's frame order.
         """
         frames = self.filter(source_address, destination_address)
-        v_tildes = reconstruct_frame_batch(frames)
+        parsed = [parse_feedback_frame(frame.payload)[1] for frame in frames]
+        groups: Dict[tuple, List[int]] = {}
+        for index, quantized in enumerate(parsed):
+            key = (
+                quantized.config,
+                quantized.num_tx,
+                quantized.num_streams,
+                quantized.num_subcarriers,
+            )
+            groups.setdefault(key, []).append(index)
+        v_tildes: List[Optional[np.ndarray]] = [None] * len(frames)
+        for indices in groups.values():
+            q_phi, q_psi, config, num_tx, num_streams = stack_quantized_angles(
+                [parsed[index] for index in indices]
+            )
+            v_batch = reconstruct_v_matrices_quantized(
+                q_phi, q_psi, config, num_tx, num_streams
+            )
+            for position, index in enumerate(indices):
+                v_tildes[index] = v_batch[position]
         return [
             CapturedFeedback(
                 v_tilde=v_tilde,

@@ -44,6 +44,36 @@ def fused_selu(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarra
     return out
 
 
+#: Samples per GEMM of an inference forward.  BLAS picks its kernel, and with
+#: it the rounding of every output, by matrix shape (a one-row product runs as
+#: a GEMV, small products take a dedicated kernel), so one ``(batch, K) @
+#: (K, N)`` product gives a sample different last bits in batches of
+#: different sizes.
+GEMM_SAMPLES = 8
+
+
+def batch_invariant_matmul(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """``rows @ weight`` for ``(batch, R, K)`` rows, each sample's bits batch-free.
+
+    The batch is zero-padded to a multiple of :data:`GEMM_SAMPLES` and
+    multiplied as a stack of ``(GEMM_SAMPLES * R, K) @ (K, N)`` GEMMs.  Every
+    BLAS call then has the same shape, and a BLAS kernel computes the rows of
+    one GEMM alike, so a sample's ``(R, N)`` outputs carry the same bits
+    whichever batch, and wherever in it, the sample arrives
+    (``tests/test_core_model.py`` pins this for the DeepCSI models).
+    Inference forwards of :class:`Dense` and :class:`Conv2D` go through here;
+    training keeps one GEMM per batch.
+    """
+    batch, per_sample, depth = rows.shape
+    chunks = -(-batch // GEMM_SAMPLES)
+    if chunks * GEMM_SAMPLES != batch:
+        padded = np.zeros((chunks * GEMM_SAMPLES, per_sample, depth), dtype=rows.dtype)
+        padded[:batch] = rows
+        rows = padded
+    out = np.matmul(rows.reshape(chunks, GEMM_SAMPLES * per_sample, depth), weight)
+    return out.reshape(chunks * GEMM_SAMPLES, per_sample, weight.shape[1])[:batch]
+
+
 class LayerError(ValueError):
     """Raised for invalid layer configurations or input shapes."""
 
@@ -111,7 +141,9 @@ class Dense(Layer):
         # would pin a full batch of activations alive inside long-lived
         # engine shards.
         self._input = x if training else None
-        return x @ self.weight + self.bias
+        if training:
+            return x @ self.weight + self.bias
+        return batch_invariant_matmul(x[:, np.newaxis, :], self.weight)[:, 0, :] + self.bias
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
@@ -208,12 +240,21 @@ class Conv2D(Layer):
         padded = self._pad(x)
         self._padded_input = padded if training else None
         # im2col: gather every (kh, kw) window as a view, then contract the
-        # (channel, kh, kw) axes against the kernel in one BLAS matmul.
+        # (channel, kh, kw) axes against the kernel in BLAS matmuls.
         windows = np.lib.stride_tricks.sliding_window_view(
             padded, (kh, kw), axis=(2, 3)
         )  # (batch, c, out_h, out_w, kh, kw)
-        out = np.tensordot(windows, self.weight, axes=([1, 4, 5], [1, 2, 3]))
-        out = np.ascontiguousarray(np.moveaxis(out, 3, 1))
+        if training:
+            out = np.tensordot(windows, self.weight, axes=([1, 4, 5], [1, 2, 3]))
+        else:
+            # The (batch, positions, taps) copy is a temporary: it is freed
+            # before the output copy below is allocated.
+            batch, _, out_h, out_w = windows.shape[:4]
+            out = batch_invariant_matmul(
+                windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h * out_w, -1),
+                self.weight.reshape(self.weight.shape[0], -1).T,
+            ).reshape(batch, out_h, out_w, -1)
+        out = np.ascontiguousarray(np.moveaxis(out, 3, 1))  # (batch, cout, out_h, out_w)
         out += self.bias[np.newaxis, :, np.newaxis, np.newaxis]
         return out
 

@@ -31,6 +31,21 @@ def generated_dataset(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def trained_model(generated_dataset, tmp_path_factory):
+    """A model trained through the CLI on split S1 at stride 16."""
+    model_dir = tmp_path_factory.mktemp("cli-model") / "model"
+    code = main(
+        [
+            "train", str(generated_dataset), str(model_dir),
+            "--split", "S1", "--stride", "16",
+            "--epochs", "2", "--batch-size", "16",
+        ]
+    )
+    assert code == 0
+    return model_dir
+
+
 class TestParser:
     def test_parser_knows_every_subcommand(self):
         parser = build_parser()
@@ -273,23 +288,12 @@ class TestProbeTrainEvaluate:
         assert "compute fp32" in captured
 
     def test_authenticate_codeword_fast_path(
-        self, generated_dataset, tmp_path, capsys
+        self, generated_dataset, trained_model, capsys
     ):
-        model_dir = tmp_path / "model"
-        code = main(
-            [
-                "train", str(generated_dataset), str(model_dir),
-                "--split", "S1", "--stride", "16",
-                "--epochs", "2", "--batch-size", "16",
-            ]
-        )
-        assert code == 0
-        capsys.readouterr()
-
         base = [
-            "authenticate", str(generated_dataset), str(model_dir),
+            "authenticate", str(generated_dataset), str(trained_model),
             "--split", "S1", "--stride", "16",
-            "--num-classes", "3", "--batch-size", "8", "--codewords",
+            "--num-classes", "3", "--batch-size", "8",
         ]
         for precision in ("exact", "fast"):
             code = main(base + ["--precision", precision])
@@ -304,6 +308,25 @@ class TestProbeTrainEvaluate:
         assert "per-stage preprocessing profile:" in captured
         assert "reconstruct" in captured
         assert "ms/batch" in captured
+
+    def test_authenticate_profile_reports_every_stage(
+        self, generated_dataset, trained_model, capsys
+    ):
+        """A plain ``authenticate`` streams codewords, so the split is rebuilt
+        from them (the ``reconstruct`` stage) and ``--precision`` applies."""
+        code = main(
+            [
+                "authenticate", str(generated_dataset), str(trained_model),
+                "--split", "S1", "--stride", "16", "--num-classes", "3",
+                "--profile",
+            ]
+        )
+        captured = capsys.readouterr().out
+        assert code == 0
+        profile = captured.split("per-stage preprocessing profile:")[1]
+        profile = profile.split("per-layer forward profile:")[0]
+        stages = [line.split()[0] for line in profile.strip().splitlines()]
+        assert stages == ["reconstruct", "features", "inference"]
 
     def test_unknown_precision_rejected_by_parser(self):
         parser = build_parser()

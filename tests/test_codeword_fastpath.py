@@ -25,7 +25,6 @@ from repro.core.transport import (
     RECORD_CODEWORDS,
     TransportError,
     _unpack_codewords,
-    pack_array_record,
     pack_codeword_record,
     unpack_record,
 )
@@ -36,7 +35,6 @@ from repro.datasets.features import (
     strided_subcarriers,
 )
 from repro.datasets.splits import D1_SPLITS, d1_split
-from repro.feedback.frames import FeedbackFrame, VhtMimoControl, pack_feedback_frame
 from repro.feedback.givens import (
     compress_v_matrix,
     reconstruct_accumulator_quantized,
@@ -52,6 +50,7 @@ from repro.feedback.quantization import (
 )
 from repro.nn.training import TrainingConfig
 from repro.phy.ofdm import sounding_layout, subband_indices
+from tests.observations import codewords, frame
 
 CODEBOOKS = [
     QuantizationConfig(b_phi=7, b_psi=5),  # VHT codebook 0
@@ -81,14 +80,6 @@ def _quantized_batch(rng, batch, num_sub, num_tx, num_streams, config):
 def _legacy_reconstruct(q_phi, q_psi, config, num_tx, num_streams):
     phi, psi = dequantize_angles_batch(q_phi, q_psi, config)
     return reconstruct_v_matrices(phi, psi, num_tx, num_streams)
-
-
-def _frame(source, quantized):
-    """The codewords packed into VHT compressed-beamforming frame bytes."""
-    control = VhtMimoControl(
-        quantized.num_streams, quantized.num_tx, 80, 1, quantized.num_subcarriers
-    )
-    return FeedbackFrame(source, "ap", 0.0, pack_feedback_frame(quantized, control))
 
 
 # --------------------------------------------------------------------------- #
@@ -247,12 +238,8 @@ def trained_classifier(tiny_d1):
 @pytest.fixture(scope="module")
 def quantized_stream(tiny_d1):
     _, test = d1_split(tiny_d1, D1_SPLITS["S1"], beamformee_id=1)
-    config = QuantizationConfig()
     return [
-        (
-            f"module-{sample.module_id:02d}",
-            quantize_angles(compress_v_matrix(sample.v_tilde), config),
-        )
+        (f"module-{sample.module_id:02d}", codewords(sample.v_tilde))
         for sample in test[:18]
     ]
 
@@ -316,7 +303,7 @@ class TestEnginePrecision:
                     if kind == "codewords":
                         results.extend(engine.submit(quantized, source=source))
                     else:
-                        results.extend(engine.submit(_frame(source, quantized)))
+                        results.extend(engine.submit(frame(quantized, source)))
                 results.extend(engine.flush())
                 assert len(results) == len(quantized_stream), case
 
@@ -341,25 +328,6 @@ class TestEnginePrecision:
         for source in exact.sources:
             assert exact.verdict(source).module_id == fast.verdict(source).module_id
 
-    def test_mixed_batch_preserves_input_order(
-        self, trained_classifier, quantized_stream, tiny_d1
-    ):
-        _, test = d1_split(tiny_d1, D1_SPLITS["S1"], beamformee_id=1)
-        engine = InferenceEngine(trained_classifier, batch_size=6)
-        # Interleave ready V~ samples with quantised codewords in one batch.
-        results = []
-        for index in range(3):
-            results.extend(engine.submit(test[index]))
-            results.extend(engine.submit(quantized_stream[index][1]))
-        results.extend(engine.flush())
-        assert [result.sequence for result in results] == list(range(6))
-        for index in range(3):
-            module_id, confidence = trained_classifier.predict_matrix(
-                test[index].v_tilde
-            )
-            assert results[2 * index].predicted_module_id == module_id
-            assert results[2 * index].confidence == confidence
-
     def test_stage_profile_reports_preprocessing_stages(
         self, trained_classifier, quantized_stream
     ):
@@ -375,18 +343,6 @@ class TestEnginePrecision:
             assert stage.calls > 0
             assert stage.total_ns > 0
             assert stage.mean_ms >= 0.0
-
-    def test_ready_v_tilde_staging_is_booked_as_features(
-        self, trained_classifier, tiny_d1
-    ):
-        _, test = d1_split(tiny_d1, D1_SPLITS["S1"], beamformee_id=1)
-        engine = InferenceEngine(trained_classifier, batch_size=4)
-        for sample in test[:8]:
-            engine.submit(sample)
-        engine.flush()
-        # Nothing is reconstructed on the V~ path, so no reconstruct stage.
-        calls = {stage.name: stage.calls for stage in engine.stats.stage_profile}
-        assert calls == {"features": 2, "inference": 2}
 
     def test_reset_clears_stage_profile(self, trained_classifier, quantized_stream):
         engine = InferenceEngine(trained_classifier, batch_size=4)
@@ -451,8 +407,7 @@ class TestCodewordTransport:
         q_phi, q_psi, config, num_tx, num_streams = stack_quantized_angles([quantized])
         v_batch = _legacy_reconstruct(q_phi, q_psi, config, num_tx, num_streams)
         codeword_bytes = len(pack_codeword_record(0, "a", 0.0, quantized))
-        vtilde_bytes = len(pack_array_record(0, "a", 0.0, v_batch[0]))
-        assert codeword_bytes * 6 < vtilde_bytes
+        assert codeword_bytes * 6 < v_batch[0].nbytes
 
     def test_truncated_payload_rejected(self, quantized_stream):
         _, quantized = quantized_stream[0]
@@ -528,7 +483,9 @@ class TestCodewordTransport:
             return outputs
 
         from_codewords = per_source([quantized for _, quantized in quantized_stream])
-        from_frames = per_source([_frame(*item) for item in quantized_stream])
+        from_frames = per_source(
+            [frame(quantized, source) for source, quantized in quantized_stream]
+        )
         assert sum(map(len, from_frames.values())) == len(quantized_stream)
         assert from_frames == from_codewords
 

@@ -16,12 +16,10 @@ from repro.core.engine import (
 )
 from repro.core.model import DeepCsiModelConfig
 from repro.core.transport import (
-    pack_array_record,
     pack_codeword_record,
     pack_frame_record,
     unpack_record,
 )
-from repro.datasets.containers import FeedbackSample
 from repro.datasets.features import FeatureConfig, strided_subcarriers
 from repro.datasets.splits import D1_SPLITS, d1_split
 from repro.feedback.capture import (
@@ -30,12 +28,7 @@ from repro.feedback.capture import (
     SoundingSimulator,
     station_mac,
 )
-from repro.feedback.frames import (
-    FeedbackFrame,
-    FrameError,
-    VhtMimoControl,
-    pack_feedback_frame,
-)
+from repro.feedback.frames import FeedbackFrame, FrameError
 from repro.feedback.givens import compress_v_matrix
 from repro.feedback.quantization import QuantizationConfig, quantize_angles
 from repro.nn.training import TrainingConfig
@@ -43,6 +36,7 @@ from repro.phy.channel import MultipathChannel
 from repro.phy.devices import AccessPoint, make_beamformee
 from repro.phy.geometry import AP_POSITION_A, beamformee_positions
 from repro.phy.ofdm import sounding_layout
+from tests.observations import codewords, frame, rebuilt
 
 TINY_MODEL = DeepCsiModelConfig(
     num_filters=8,
@@ -81,6 +75,11 @@ def test_samples(tiny_d1):
     return test
 
 
+@pytest.fixture(scope="module")
+def test_codewords(test_samples):
+    return [codewords(sample.v_tilde) for sample in test_samples]
+
+
 class TestPredictMatrices:
     def test_matches_looped_predict_matrix_exactly(
         self, trained_classifier, test_samples
@@ -114,23 +113,23 @@ class TestPredictMatrices:
 
 
 class TestEngineBatching:
-    def test_drain_matches_per_frame_results(self, trained_classifier, test_samples):
+    def test_drain_matches_per_frame_results(self, trained_classifier, test_codewords):
         engine = InferenceEngine(trained_classifier, batch_size=5)
-        results = engine.drain(test_samples[:13])
+        results = engine.drain(test_codewords[:13])
         assert len(results) == 13
         assert [result.sequence for result in results] == list(range(13))
-        for result, sample in zip(results, test_samples[:13]):
-            module_id, confidence = trained_classifier.predict_matrix(sample.v_tilde)
+        for result, v_tilde in zip(results, rebuilt(test_codewords[:13])):
+            module_id, confidence = trained_classifier.predict_matrix(v_tilde)
             assert result.predicted_module_id == module_id
             assert result.confidence == confidence
 
     def test_submit_buffers_until_batch_is_full(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         engine = InferenceEngine(trained_classifier, batch_size=4)
         outputs = []
-        for sample in test_samples[:6]:
-            outputs.append(engine.submit(sample))
+        for quantized in test_codewords[:6]:
+            outputs.append(engine.submit(quantized))
         # The first three submissions buffer; the fourth releases the batch.
         assert [len(batch) for batch in outputs] == [0, 0, 0, 4, 0, 0]
         assert len(engine.flush()) == 2
@@ -139,36 +138,39 @@ class TestEngineBatching:
         assert engine.stats.batches == 2
 
     def test_max_latency_forces_partial_batches(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         engine = InferenceEngine(
             trained_classifier, batch_size=64, max_latency_frames=2
         )
-        outputs = [engine.submit(sample) for sample in test_samples[:4]]
+        outputs = [engine.submit(quantized) for quantized in test_codewords[:4]]
         assert [len(batch) for batch in outputs] == [0, 2, 0, 2]
 
-    def test_stream_yields_every_result(self, trained_classifier, test_samples):
+    def test_stream_yields_every_result(self, trained_classifier, test_codewords):
         engine = InferenceEngine(trained_classifier, batch_size=4)
-        results = list(engine.stream(test_samples[:7]))
+        results = list(engine.stream(test_codewords[:7]))
         assert len(results) == 7
         assert engine.stats.mean_batch_size == pytest.approx(3.5)
         assert engine.stats.frames_per_second > 0.0
 
-    def test_mixed_geometries_keep_input_order(self, trained_classifier, test_samples):
-        # The classifier was trained on (K, M, N_SS) = (234, 3, 2) inputs;
-        # feed the same geometry through both the array and sample branches.
+    def test_mixed_geometries_keep_input_order(
+        self, trained_classifier, test_samples, test_codewords
+    ):
+        # The classifier was trained on (K, M, N_SS) = (234, 3, 2) inputs.
+        # Codebook-0 codewords of that geometry form a second group of the
+        # micro-batch, between codebook-1 codewords and frame bytes.
+        codebook0 = quantize_angles(
+            compress_v_matrix(test_samples[1].v_tilde),
+            QuantizationConfig(b_phi=7, b_psi=5),
+        )
         engine = InferenceEngine(trained_classifier, batch_size=8)
-        observations = [
-            test_samples[0],
-            np.asarray(test_samples[1].v_tilde),
-            test_samples[2],
-        ]
-        results = engine.drain(observations)
-        expected = [
-            trained_classifier.predict_matrix(test_samples[index].v_tilde)[0]
-            for index in range(3)
-        ]
-        assert [result.predicted_module_id for result in results] == expected
+        results = engine.drain([test_codewords[0], codebook0, frame(test_codewords[2])])
+        assert [result.sequence for result in results] == [0, 1, 2]
+        # Each result is the bitwise verdict on its own rebuilt V~ alone.
+        for result, quantized in zip(results, [test_codewords[0], codebook0, test_codewords[2]]):
+            module_id, confidence = trained_classifier.predict_matrix(rebuilt([quantized])[0])
+            assert result.predicted_module_id == module_id
+            assert result.confidence == confidence
 
     def test_invalid_configuration_rejected(self, trained_classifier):
         with pytest.raises(EngineError):
@@ -185,75 +187,57 @@ class TestEngineBatching:
 
     @pytest.mark.parametrize("kind", ["array", "sample", "captured", "frame"])
     def test_rejected_observation_costs_only_itself(
-        self, trained_classifier, test_samples, kind
+        self, trained_classifier, test_samples, test_codewords, kind
     ):
         """A bad observation raises at submit, is not buffered and takes no
         sequence number, so the frames around it classify as if it never came.
+
+        A well-formed ``V~`` in any wrapper is refused (the streaming path
+        takes frames and codewords only), as is a truncated frame.
         """
-        good = test_samples[:7]
-        flat = np.zeros((64, 3), dtype=complex)
+        good = test_codewords[:7]
+        v_tilde = test_samples[0].v_tilde
         if kind == "frame":
-            quantized = quantize_angles(
-                compress_v_matrix(good[0].v_tilde), QuantizationConfig()
-            )
-            control = VhtMimoControl(
-                quantized.num_streams, quantized.num_tx, 80, 1, quantized.num_subcarriers
-            )
-            payload = pack_feedback_frame(quantized, control)
+            payload = frame(good[0]).payload
             bad = FeedbackFrame("bad", "ap", 0.0, payload[: len(payload) // 2])
         else:
             bad = {
-                "array": flat,
-                "sample": FeedbackSample(v_tilde=flat, module_id=0, beamformee_id=1),
-                "captured": CapturedFeedback(flat, "bad", "ap", 0.0),
+                "array": v_tilde,
+                "sample": test_samples[0],
+                "captured": CapturedFeedback(v_tilde, "bad", "ap", 0.0),
             }[kind]
         engine = InferenceEngine(trained_classifier, batch_size=8)
-        for sample in good[:3]:
-            assert engine.submit(sample) == []
+        for quantized in good[:3]:
+            assert engine.submit(quantized) == []
         with pytest.raises(FrameError if kind == "frame" else EngineError):
             engine.submit(bad)
-        for sample in good[3:]:
-            assert engine.submit(sample) == []
+        for quantized in good[3:]:
+            assert engine.submit(quantized) == []
         results = engine.flush()
         assert [result.sequence for result in results] == list(range(7))
         assert results == InferenceEngine(trained_classifier, batch_size=8).drain(good)
         assert engine.stats.frames_in == engine.stats.frames_out == 7
 
 
-def _observation(kind, sample):
-    """``sample`` as one of the engine's five observation forms."""
-    if kind == "array":
-        return sample.v_tilde
-    if kind == "sample":
-        return FeedbackSample(
-            v_tilde=sample.v_tilde, module_id=0, beamformee_id=1, timestamp_s=2.5
-        )
-    if kind == "captured":
-        return CapturedFeedback(sample.v_tilde, "sta:captured", "ap", 3.5)
-    quantized = quantize_angles(compress_v_matrix(sample.v_tilde), QuantizationConfig())
+def _observation(kind, quantized):
+    """``quantized`` as one of the engine's two observation forms."""
     if kind == "codewords":
         return quantized
-    control = VhtMimoControl(
-        quantized.num_streams, quantized.num_tx, 80, 1, quantized.num_subcarriers
-    )
-    return FeedbackFrame("sta:frame", "ap", 4.5, pack_feedback_frame(quantized, control))
+    return frame(quantized, "sta:frame", 4.5)
 
 
 class TestObservationForms:
     @pytest.mark.parametrize(
         "kind, source, timestamp_s",
         [
-            ("array", ANONYMOUS_SOURCE, 0.0),
-            ("sample", ANONYMOUS_SOURCE, 2.5),
-            ("captured", "sta:captured", 3.5),
             ("codewords", ANONYMOUS_SOURCE, 0.0),
             ("frame", "sta:frame", 4.5),
         ],
     )
     def test_source_and_timestamp_attribution(
-        self, trained_classifier, test_samples, kind, source, timestamp_s
+        self, trained_classifier, test_codewords, kind, source, timestamp_s
     ):
-        observation = _observation(kind, test_samples[0])
+        observation = _observation(kind, test_codewords[0])
         engine = InferenceEngine(trained_classifier, batch_size=4)
         engine.submit(observation)
         engine.submit(observation, source="explicit")
@@ -261,9 +245,23 @@ class TestObservationForms:
         assert (own.source, own.timestamp_s) == (source, timestamp_s)
         assert (overridden.source, overridden.timestamp_s) == ("explicit", timestamp_s)
 
-    @pytest.mark.parametrize("kind", ["sample", "captured", "codewords", "frame"])
+    @pytest.mark.parametrize("kind", ["array", "sample", "captured"])
+    def test_ready_v_tilde_is_refused(self, trained_classifier, test_samples, kind):
+        sample = test_samples[0]
+        observation = {
+            "array": sample.v_tilde,
+            "sample": sample,
+            "captured": CapturedFeedback(sample.v_tilde, "sta:captured", "ap", 3.5),
+        }[kind]
+        engine = InferenceEngine(trained_classifier, batch_size=1)
+        with pytest.raises(EngineError, match="quantize_angles"):
+            engine.submit(observation)
+        assert engine.stats.frames_in == 0
+        assert engine.sources == []
+
+    @pytest.mark.parametrize("kind", ["codewords", "frame"])
     def test_worker_rebuilt_observation_classifies_identically(
-        self, trained_classifier, test_samples, kind
+        self, trained_classifier, test_codewords, kind
     ):
         """What a process worker rebuilds from a record gives the same results
         (source and timestamp included) as submitting the original."""
@@ -271,15 +269,11 @@ class TestObservationForms:
         def pack(observation, source):
             if kind == "codewords":
                 return pack_codeword_record(7, source, 0.0, observation)
-            if kind == "frame":
-                return pack_frame_record(
-                    7, source, observation.timestamp_s, observation.payload
-                )
-            return pack_array_record(
-                7, source, observation.timestamp_s, observation.v_tilde
+            return pack_frame_record(
+                7, source, observation.timestamp_s, observation.payload
             )
 
-        originals = [_observation(kind, sample) for sample in test_samples[:5]]
+        originals = [_observation(kind, quantized) for quantized in test_codewords[:5]]
         direct = InferenceEngine(trained_classifier, batch_size=4)
         worker = InferenceEngine(trained_classifier, batch_size=4)
         expected, rebuilt = [], []
@@ -296,13 +290,13 @@ class TestObservationForms:
 
 class TestEngineVoting:
     def test_per_source_ring_buffers_and_verdicts(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         engine = InferenceEngine(trained_classifier, batch_size=4, vote_window=3)
-        for sample in test_samples[:6]:
-            engine.submit(sample, source="alice")
-        for sample in test_samples[6:10]:
-            engine.submit(sample, source="bob")
+        for quantized in test_codewords[:6]:
+            engine.submit(quantized, source="alice")
+        for quantized in test_codewords[6:10]:
+            engine.submit(quantized, source="bob")
         engine.flush()
         assert engine.sources == ["alice", "bob"]
         verdict = engine.verdict("alice")
@@ -312,10 +306,10 @@ class TestEngineVoting:
         assert 0.0 <= verdict.confidence <= 1.0
 
     def test_anonymous_observations_share_a_window(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         engine = InferenceEngine(trained_classifier, batch_size=2)
-        engine.drain(test_samples[:4])
+        engine.drain(test_codewords[:4])
         verdict = engine.verdict()
         assert verdict.window_size == 4
         assert engine.sources == [ANONYMOUS_SOURCE]
@@ -325,26 +319,26 @@ class TestEngineVoting:
         with pytest.raises(EngineError):
             engine.verdict("nobody")
 
-    def test_source_windows_are_bounded(self, trained_classifier, test_samples):
+    def test_source_windows_are_bounded(self, trained_classifier, test_codewords):
         engine = InferenceEngine(trained_classifier, batch_size=1, max_sources=2)
         for index in range(4):
-            engine.submit(test_samples[index], source=f"station-{index}")
+            engine.submit(test_codewords[index], source=f"station-{index}")
         # Only the two most recently seen sources keep a ring buffer.
         assert engine.sources == ["station-2", "station-3"]
         with pytest.raises(EngineError):
             engine.verdict("station-0")
         # A recently-updated source survives eviction over a stale one.
-        engine.submit(test_samples[0], source="station-2")
-        engine.submit(test_samples[1], source="station-4")
+        engine.submit(test_codewords[0], source="station-2")
+        engine.submit(test_codewords[1], source="station-4")
         assert engine.sources == ["station-2", "station-4"]
 
-    def test_reset_clears_state(self, trained_classifier, test_samples):
+    def test_reset_clears_state(self, trained_classifier, test_codewords):
         engine = InferenceEngine(trained_classifier, batch_size=2)
-        engine.drain(test_samples[:4])
+        engine.drain(test_codewords[:4])
         engine.reset()
         assert engine.stats.frames_in == 0
         assert engine.sources == []
-        results = engine.drain(test_samples[:2])
+        results = engine.drain(test_codewords[:2])
         assert results[0].sequence == 0
 
 
@@ -362,17 +356,17 @@ class TestEngineStatsGuards:
         assert engine.stats.mean_batch_size == 0.0
 
     def test_reset_engine_stats_are_safe_to_read(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         engine = InferenceEngine(trained_classifier, batch_size=2)
-        engine.drain(test_samples[:4])
+        engine.drain(test_codewords[:4])
         assert engine.stats.frames_per_second > 0.0
         engine.reset()
         assert engine.stats.frames_per_second == 0.0
         assert engine.stats.mean_batch_size == 0.0
 
     def test_stats_snapshot_is_consistent_mid_drain(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         """Regression: a snapshot taken from another thread mid-drain must be
         consistent - all counters of a batch published together, never a
@@ -402,8 +396,8 @@ class TestEngineStatsGuards:
         watcher.start()
         try:
             for _ in range(10):
-                for sample in test_samples[:8]:
-                    engine.submit(sample)
+                for quantized in test_codewords[:8]:
+                    engine.submit(quantized)
         finally:
             stop.set()
             watcher.join()

@@ -84,6 +84,23 @@ class TestBuildModel:
         # Hidden dense layers plus the output classifier.
         assert layer_types.count(Dense) == len(FAST_MODEL_CONFIG.dense_units) + 1
 
+    @pytest.mark.parametrize(
+        "config",
+        [PAPER_MODEL_CONFIG, FAST_MODEL_CONFIG, DeepCsiModelConfig(num_filters=4, dense_units=(8, 8))],
+        ids=["paper", "fast", "tiny"],
+    )
+    def test_inference_bits_do_not_depend_on_the_batch(self, config):
+        # A sample's fp64 logits carry the same bits in every batch it can
+        # arrive in, alone included, so no micro-batch cut of a streaming
+        # engine changes a result.
+        model = build_deepcsi_model((5, 1, 59), 10, config, rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((13, 5, 1, 59))
+        full = model.forward(x)
+        for size in range(1, 13):
+            for start in range(0, 13, size):
+                part = model.forward(x[start : start + size])
+                assert part.tobytes() == full[start : start + size].tobytes(), (size, start)
+
     def test_backward_pass_runs(self, rng):
         model = build_deepcsi_model((3, 1, 32), 4, FAST_MODEL_CONFIG, rng=np.random.default_rng(0))
         x = rng.standard_normal((2, 3, 1, 32))

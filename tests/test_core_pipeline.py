@@ -14,6 +14,7 @@ from repro.phy.channel import MultipathChannel
 from repro.phy.devices import AccessPoint, make_beamformee
 from repro.phy.geometry import AP_POSITION_A, beamformee_positions
 from repro.phy.ofdm import sounding_layout
+from tests.observations import codewords, rebuilt
 
 TINY_MODEL = DeepCsiModelConfig(
     num_filters=8,
@@ -181,10 +182,10 @@ class TestCaptureAuthentication:
     def test_authenticate_batch_matches_per_frame_path(
         self, trained_pipeline, test_samples
     ):
-        subset = test_samples[:9]
+        subset = [codewords(sample.v_tilde) for sample in test_samples[:9]]
         batched = trained_pipeline.authenticate_batch(subset, batch_size=4)
-        for sample, result in zip(subset, batched):
-            single = trained_pipeline.authenticate(sample)
+        for v_tilde, result in zip(rebuilt(subset), batched):
+            single = trained_pipeline.authenticate(v_tilde)
             assert result.predicted_module_id == single.predicted_module_id
             assert result.confidence == pytest.approx(single.confidence, abs=1e-12)
             assert result.accepted == single.accepted
@@ -196,7 +197,7 @@ class TestCaptureAuthentication:
     def test_authenticate_batch_with_workers_matches_single_engine(
         self, trained_pipeline, test_samples
     ):
-        subset = test_samples[:12]
+        subset = [codewords(sample.v_tilde) for sample in test_samples[:12]]
         single = trained_pipeline.authenticate_batch(subset, batch_size=4)
         sharded = trained_pipeline.authenticate_batch(
             subset, batch_size=4, workers=3

@@ -1,10 +1,10 @@
 """Tests for the sharded multi-worker streaming service."""
 
-import numpy as np
 import pytest
 
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
 from repro.core.engine import InferenceEngine
+from repro.feedback.capture import CapturedFeedback
 from repro.core.model import DeepCsiModelConfig
 from repro.core.service import (
     ServiceError,
@@ -17,6 +17,7 @@ from repro.datasets.features import FeatureConfig, strided_subcarriers
 from repro.datasets.splits import D1_SPLITS, d1_split
 from repro.feedback.capture import station_mac
 from repro.nn.training import TrainingConfig
+from tests.observations import codewords, frame
 
 TINY_MODEL = DeepCsiModelConfig(
     num_filters=8,
@@ -56,12 +57,26 @@ def test_samples(tiny_d1):
 
 
 @pytest.fixture(scope="module")
-def multi_source_stream(test_samples):
-    """(source, sample) pairs: 6 sources, round-robin interleaved."""
+def test_codewords(test_samples):
+    return [codewords(sample.v_tilde) for sample in test_samples]
+
+
+@pytest.fixture(scope="module")
+def multi_source_stream(test_codewords):
+    """(source, codewords) pairs: 6 sources, round-robin interleaved."""
     sources = [station_mac(index) for index in range(6)]
     return [
-        (sources[index % len(sources)], sample)
-        for index, sample in enumerate(test_samples[:24])
+        (sources[index % len(sources)], quantized)
+        for index, quantized in enumerate(test_codewords[:24])
+    ]
+
+
+@pytest.fixture(scope="module")
+def multi_source_frames(multi_source_stream):
+    """The same stream as frame bytes, each with its own capture timestamp."""
+    return [
+        (source, frame(quantized, source, 0.25 * index))
+        for index, (source, quantized) in enumerate(multi_source_stream)
     ]
 
 
@@ -83,10 +98,10 @@ class TestShardRouting:
             shard_for_source("02:00:00:00:00:01", 0)
 
     def test_one_source_never_spans_two_shards(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         with StreamingService(trained_classifier, num_workers=4) as service:
-            service.drain(test_samples[:8], source="alice")
+            service.drain(test_codewords[:8], source="alice")
             owners = [
                 index
                 for index, shard in enumerate(service._shards)
@@ -101,16 +116,16 @@ class TestServiceResults:
     ):
         engine = InferenceEngine(trained_classifier, batch_size=5)
         expected = []
-        for source, sample in multi_source_stream:
-            expected.extend(engine.submit(sample, source=source))
+        for source, quantized in multi_source_stream:
+            expected.extend(engine.submit(quantized, source=source))
         expected.extend(engine.flush())
         expected.sort(key=lambda result: result.sequence)
 
         with StreamingService(
             trained_classifier, num_workers=3, batch_size=5
         ) as service:
-            for source, sample in multi_source_stream:
-                service.submit(sample, source=source)
+            for source, quantized in multi_source_stream:
+                service.submit(quantized, source=source)
             service.flush()
             actual = sorted(service.collect(), key=lambda result: result.sequence)
 
@@ -126,15 +141,15 @@ class TestServiceResults:
         self, trained_classifier, multi_source_stream
     ):
         engine = InferenceEngine(trained_classifier, batch_size=4, vote_window=8)
-        for source, sample in multi_source_stream:
-            engine.submit(sample, source=source)
+        for source, quantized in multi_source_stream:
+            engine.submit(quantized, source=source)
         engine.flush()
 
         with StreamingService(
             trained_classifier, num_workers=4, batch_size=4, vote_window=8
         ) as service:
-            for source, sample in multi_source_stream:
-                service.submit(sample, source=source)
+            for source, quantized in multi_source_stream:
+                service.submit(quantized, source=source)
             service.flush()
             assert service.sources == engine.sources
             for source in engine.sources:
@@ -145,18 +160,18 @@ class TestServiceResults:
                 assert got.window_size == want.window_size
                 assert got.confidence == pytest.approx(want.confidence, rel=1e-12)
 
-    def test_drain_returns_submission_order(self, trained_classifier, test_samples):
+    def test_drain_returns_submission_order(self, trained_classifier, test_codewords):
         with StreamingService(
             trained_classifier, num_workers=2, batch_size=4
         ) as service:
-            results = service.drain(test_samples[:10])
+            results = service.drain(test_codewords[:10])
         assert [result.sequence for result in results] == list(range(10))
 
-    def test_stream_yields_every_result(self, trained_classifier, test_samples):
+    def test_stream_yields_every_result(self, trained_classifier, test_codewords):
         with StreamingService(
             trained_classifier, num_workers=2, batch_size=4
         ) as service:
-            results = list(service.stream(test_samples[:7]))
+            results = list(service.stream(test_codewords[:7]))
         assert len(results) == 7
 
     def test_unknown_source_verdict_rejected(self, trained_classifier):
@@ -169,7 +184,7 @@ class TestServiceResults:
 
 class TestConcurrentProducers:
     def test_parallel_submitters_get_unique_sequences(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         """Regression: the service-wide sequence stamp must not race."""
         import threading
@@ -187,8 +202,8 @@ class TestConcurrentProducers:
             monitor = validate_guarded(service)
 
             def produce(source):
-                for sample in test_samples[:per_producer]:
-                    service.submit(sample, source=source)
+                for quantized in test_codewords[:per_producer]:
+                    service.submit(quantized, source=source)
                     service.stats
 
             threads = [
@@ -209,33 +224,50 @@ class TestConcurrentProducers:
 
 
 class TestBackpressureAndLifecycle:
-    def test_bounded_queue_loses_no_frames(self, trained_classifier, test_samples):
+    def test_bounded_queue_loses_no_frames(self, trained_classifier, test_codewords):
         with StreamingService(
             trained_classifier, num_workers=2, queue_depth=1, batch_size=4
         ) as service:
-            results = service.drain(test_samples[:20])
+            results = service.drain(test_codewords[:20])
             stats = service.stats
         assert len(results) == 20
         assert stats.frames_in == stats.frames_out == 20
         assert stats.queue_full_waits >= 0
 
-    def test_invalid_observation_surfaces_as_service_error(
-        self, trained_classifier, test_samples
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("kind", ["array", "sample", "captured"])
+    def test_non_codeword_observation_costs_only_itself(
+        self, trained_classifier, test_samples, test_codewords, backend, kind
     ):
-        with StreamingService(trained_classifier, num_workers=2) as service:
-            service.submit(np.zeros((4, 4)))
-            with pytest.raises(ServiceError):
-                service.flush()
+        """A ready V~ in any wrapper raises at submit, on either backend,
+        without taking a sequence number; the shards keep serving."""
+        sample = test_samples[0]
+        bad = {
+            "array": sample.v_tilde,
+            "sample": sample,
+            "captured": CapturedFeedback(sample.v_tilde, "sta:bad", "ap", 0.0),
+        }[kind]
+        with StreamingService(
+            trained_classifier, num_workers=2, batch_size=4, backend=backend
+        ) as service:
+            for _ in range(2):
+                with pytest.raises(ServiceError, match="QuantizedAngles"):
+                    service.submit(bad, source="alice")
+                assert service.stats.frames_in == 0
+            results = service.drain(test_codewords[:6], source="alice")
+            stats = service.stats
+        assert [result.sequence for result in results] == list(range(6))
+        assert stats.frames_in == stats.frames_out == 6
 
     def test_closed_service_rejects_submissions(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         service = StreamingService(trained_classifier, num_workers=2)
-        service.drain(test_samples[:2])
+        service.drain(test_codewords[:2])
         service.close()
         service.close()  # idempotent
         with pytest.raises(ServiceError):
-            service.submit(test_samples[0])
+            service.submit(test_codewords[0])
         with pytest.raises(ServiceError):
             service.flush()
 
@@ -280,16 +312,17 @@ class TestWorkerHeuristic:
 
 class TestProcessBackend:
     def test_results_match_threads_backend_bitwise(
-        self, trained_classifier, multi_source_stream
+        self, trained_classifier, multi_source_stream, multi_source_frames
     ):
-        """Identical traffic through both backends: bitwise-identical results."""
+        """Identical traffic through both backends: bitwise-identical results,
+        on codeword and on frame traffic."""
 
-        def run(backend):
+        def run(stream, backend):
             with StreamingService(
                 trained_classifier, num_workers=2, batch_size=5, backend=backend
             ) as service:
-                for source, sample in multi_source_stream:
-                    service.submit(sample, source=source)
+                for source, observation in stream:
+                    service.submit(observation, source=source)
                 service.flush()
                 results = sorted(
                     service.collect(), key=lambda result: result.sequence
@@ -299,30 +332,30 @@ class TestProcessBackend:
                 }
             return results, verdicts
 
-        thread_results, thread_verdicts = run("threads")
-        process_results, process_verdicts = run("processes")
-        assert len(process_results) == len(thread_results) == len(
-            multi_source_stream
-        )
-        for thread_result, process_result in zip(thread_results, process_results):
-            assert thread_result.sequence == process_result.sequence
-            assert thread_result.source == process_result.source
-            assert (
-                thread_result.predicted_module_id
-                == process_result.predicted_module_id
-            )
-            assert thread_result.confidence == process_result.confidence  # bitwise
-            assert thread_result.timestamp_s == process_result.timestamp_s
-        assert set(process_verdicts) == set(thread_verdicts)
-        for source, process_verdict in process_verdicts.items():
-            thread_verdict = thread_verdicts[source]
-            assert process_verdict.module_id == thread_verdict.module_id
-            assert process_verdict.num_votes == thread_verdict.num_votes
-            assert process_verdict.window_size == thread_verdict.window_size
-            assert process_verdict.confidence == thread_verdict.confidence
+        for stream in (multi_source_stream, multi_source_frames):
+            thread_results, thread_verdicts = run(stream, "threads")
+            process_results, process_verdicts = run(stream, "processes")
+            assert len(process_results) == len(thread_results) == len(stream)
+            for thread_result, process_result in zip(thread_results, process_results):
+                assert thread_result.sequence == process_result.sequence
+                assert thread_result.source == process_result.source
+                assert (
+                    thread_result.predicted_module_id
+                    == process_result.predicted_module_id
+                )
+                assert thread_result.confidence == process_result.confidence  # bitwise
+                assert thread_result.timestamp_s == process_result.timestamp_s
+                assert thread_result.score == process_result.score
+            assert set(process_verdicts) == set(thread_verdicts)
+            for source, process_verdict in process_verdicts.items():
+                thread_verdict = thread_verdicts[source]
+                assert process_verdict.module_id == thread_verdict.module_id
+                assert process_verdict.num_votes == thread_verdict.num_votes
+                assert process_verdict.window_size == thread_verdict.window_size
+                assert process_verdict.confidence == thread_verdict.confidence
 
     def test_worker_crash_raises_instead_of_hanging(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         """Killing a child process surfaces as ServiceError, not a deadlock."""
         service = StreamingService(
@@ -333,7 +366,7 @@ class TestProcessBackend:
             backend="processes",
         )
         try:
-            service.drain(test_samples[:4])
+            service.drain(test_codewords[:4])
             for shard in service._shards:
                 shard.process.kill()
                 shard.process.join(timeout=5.0)
@@ -341,17 +374,17 @@ class TestProcessBackend:
                 # The dead consumers never drain their rings, so keep
                 # submitting until backpressure makes the liveness check run;
                 # the small ring bounds the number of iterations needed.
-                for sample in test_samples * 20:
-                    service.submit(sample, source="alice")
+                for quantized in test_codewords * 20:
+                    service.submit(quantized, source="alice")
         finally:
             service.close()
 
-    def test_flush_with_dead_worker_raises(self, trained_classifier, test_samples):
+    def test_flush_with_dead_worker_raises(self, trained_classifier, test_codewords):
         service = StreamingService(
             trained_classifier, num_workers=2, batch_size=4, backend="processes"
         )
         try:
-            service.drain(test_samples[:4])
+            service.drain(test_codewords[:4])
             for shard in service._shards:
                 shard.process.kill()
                 shard.process.join(timeout=5.0)
@@ -360,7 +393,7 @@ class TestProcessBackend:
         finally:
             service.close()
 
-    def test_close_unlinks_every_shm_segment(self, trained_classifier, test_samples):
+    def test_close_unlinks_every_shm_segment(self, trained_classifier, test_codewords):
         from repro.core.transport import segment_exists
 
         service = StreamingService(
@@ -368,12 +401,12 @@ class TestProcessBackend:
         )
         names = service._backend.segment_names
         assert all(segment_exists(name) for name in names)
-        service.drain(test_samples[:6])
+        service.drain(test_codewords[:6])
         service.close()
         assert not any(segment_exists(name) for name in names)
 
     def test_close_unlinks_segments_after_worker_crash(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         from repro.core.transport import segment_exists
 
@@ -381,7 +414,7 @@ class TestProcessBackend:
             trained_classifier, num_workers=2, batch_size=4, backend="processes"
         )
         names = service._backend.segment_names
-        service.drain(test_samples[:4])
+        service.drain(test_codewords[:4])
         for shard in service._shards:
             shard.process.kill()
             shard.process.join(timeout=5.0)
@@ -394,8 +427,8 @@ class TestProcessBackend:
         with StreamingService(
             trained_classifier, num_workers=3, batch_size=4, backend="processes"
         ) as service:
-            for source, sample in multi_source_stream:
-                service.submit(sample, source=source)
+            for source, quantized in multi_source_stream:
+                service.submit(quantized, source=source)
             service.flush()
             stats = service.stats
         assert stats.backend == "processes"
@@ -409,39 +442,52 @@ class TestProcessBackend:
             sum(w.inference_seconds for w in stats.worker_stats)
         )
 
-    def test_invalid_observation_surfaces_as_service_error(
-        self, trained_classifier
+    def test_worker_stats_carry_the_stage_profile(
+        self, trained_classifier, multi_source_stream
     ):
-        with StreamingService(
-            trained_classifier, num_workers=2, backend="processes"
-        ) as service:
-            service.submit(np.zeros((4, 4, 4, 4)))
-            with pytest.raises(ServiceError):
-                service.flush()
+        """A process shard ships its engine's whole stats snapshot, so the
+        per-shard stage profile matches the thread shard's call for call."""
 
-    def test_oversize_frames_span_ring_slots(self, trained_classifier, test_samples):
+        def stage_calls(backend):
+            with StreamingService(
+                trained_classifier, num_workers=2, batch_size=4, backend=backend
+            ) as service:
+                for source, quantized in multi_source_stream:
+                    service.submit(quantized, source=source)
+                service.flush()
+                workers = service.stats.worker_stats
+            return [
+                [(stage.name, stage.calls) for stage in worker.stage_profile]
+                for worker in workers
+            ]
+
+        threads = stage_calls("threads")
+        assert all(shard for shard in threads)
+        assert stage_calls("processes") == threads
+
+    def test_oversize_frames_span_ring_slots(self, trained_classifier, test_codewords):
         """Frames bigger than one shm slot still arrive bit for bit."""
         with StreamingService(
             trained_classifier,
             num_workers=2,
             batch_size=4,
             backend="processes",
-            slot_bytes=1024,  # far below one (234, 3, 2) complex128 payload
+            slot_bytes=1024,  # below one (234, 3, 2) codeword record (~2.8 KB)
         ) as service:
-            results = service.drain(test_samples[:6])
+            results = service.drain(test_codewords[:6])
         assert len(results) == 6
 
     def test_closed_service_rejects_submissions(
-        self, trained_classifier, test_samples
+        self, trained_classifier, test_codewords
     ):
         service = StreamingService(
             trained_classifier, num_workers=2, backend="processes"
         )
-        service.drain(test_samples[:2])
+        service.drain(test_codewords[:2])
         service.close()
         service.close()  # idempotent
         with pytest.raises(ServiceError):
-            service.submit(test_samples[0])
+            service.submit(test_codewords[0])
 
 
 class TestServiceStats:
@@ -451,8 +497,8 @@ class TestServiceStats:
         with StreamingService(
             trained_classifier, num_workers=3, batch_size=4
         ) as service:
-            for source, sample in multi_source_stream:
-                service.submit(sample, source=source)
+            for source, quantized in multi_source_stream:
+                service.submit(quantized, source=source)
             service.flush()
             stats = service.stats
         assert stats.num_workers == 3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.feedback.capture import reconstruct_frame_batch
+from repro.feedback.capture import MonitorCapture
 from repro.feedback.frames import FeedbackFrame, VhtMimoControl, pack_feedback_frame
 from repro.feedback.givens import (
     GivensError,
@@ -108,7 +108,7 @@ class TestStackHelpers:
 class TestFrameBatchReconstruction:
     def test_mixed_geometry_frames_keep_input_order(self, rng):
         config = QuantizationConfig()
-        frames = []
+        capture = MonitorCapture()
         expected = []
         # Alternate two geometries so the grouping has to scatter results
         # back into the original frame order.
@@ -123,7 +123,7 @@ class TestFrameBatchReconstruction:
                 codebook=1,
                 num_subcarriers=11,
             )
-            frames.append(
+            capture.record(
                 FeedbackFrame(
                     source_address=f"02:00:00:00:00:{index:02x}",
                     destination_address="02:00:00:00:aa:00",
@@ -132,10 +132,12 @@ class TestFrameBatchReconstruction:
                 )
             )
             expected.append(reconstruct_v_matrix(dequantize_angles(quantized)))
-        batch = reconstruct_frame_batch(frames)
-        assert len(batch) == len(frames)
-        for got, want in zip(batch, expected):
-            np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
+        batch = capture.reconstruct()
+        assert len(batch) == len(capture)
+        for index, (got, want) in enumerate(zip(batch, expected)):
+            assert got.source_address == f"02:00:00:00:00:{index:02x}"
+            assert got.timestamp_s == float(index)
+            np.testing.assert_allclose(got.v_tilde, want, atol=1e-12, rtol=0)
 
     def test_empty_frame_list_gives_empty_batch(self):
-        assert reconstruct_frame_batch([]) == []
+        assert MonitorCapture().reconstruct() == []

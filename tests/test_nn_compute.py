@@ -26,6 +26,7 @@ from repro.nn.compute import (
 )
 from repro.nn.layers import SELU_ALPHA, SELU_SCALE, Conv2D, Dense, MaxPool2D, Selu, Softmax
 from repro.nn.training import TrainingConfig
+from tests.observations import codewords
 
 TINY_MODEL = DeepCsiModelConfig(
     num_filters=8,
@@ -405,7 +406,7 @@ def _drain_engine(classifier, samples, **kwargs):
     results = []
     for sample in samples:
         results.extend(
-            engine.submit(sample, source=f"module-{sample.module_id:02d}")
+            engine.submit(codewords(sample.v_tilde), source=f"module-{sample.module_id:02d}")
         )
     results.extend(engine.flush())
     return engine, [(r.predicted_module_id, r.confidence) for r in results]
@@ -420,7 +421,7 @@ def _drain_service(classifier, samples, backend, compute=None):
         compute=compute,
     ) as service:
         for sample in samples:
-            service.submit(sample, source=f"module-{sample.module_id:02d}")
+            service.submit(codewords(sample.v_tilde), source=f"module-{sample.module_id:02d}")
         service.flush()
         results = service.collect()
         stats = service.stats
@@ -489,7 +490,9 @@ class TestEngineAndServiceCompute:
         ) as service:
             before = service.stats.worker_stats
             for sample in test[:16]:
-                service.submit(sample, source=f"module-{sample.module_id:02d}")
+                service.submit(
+                    codewords(sample.v_tilde), source=f"module-{sample.module_id:02d}"
+                )
             service.flush()
             after = service.stats.worker_stats
         assert after[0].frames_out + after[1].frames_out == 16

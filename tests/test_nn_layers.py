@@ -68,6 +68,18 @@ class TestConv2D:
         out = layer.forward(feature_map)
         assert out.shape == (3, 6, 1, 8)
 
+    @pytest.mark.parametrize("padding", ["same", "valid"])
+    def test_inference_matches_the_training_product(self, feature_map, padding):
+        # Inference multiplies through fixed-shape GEMMs and training through
+        # one tensordot: the same sums, rounded in another order at most.
+        layer = Conv2D(4, 6, (2, 3), padding=padding, rng=np.random.default_rng(0))
+        np.testing.assert_allclose(
+            layer.forward(feature_map),
+            layer.forward(feature_map, training=True),
+            rtol=1e-12,
+            atol=1e-12,
+        )
+
     def test_manual_convolution_result(self):
         # 1x1 spatial input, kernel (1,1): conv reduces to a channel mixing.
         layer = Conv2D(2, 1, (1, 1), rng=np.random.default_rng(0))

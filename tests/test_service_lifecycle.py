@@ -22,6 +22,7 @@ variants.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from repro.core.service import ServiceError, StreamingService
 from repro.datasets.adversarial import impostor_scenario, interleaved_traffic
 from repro.datasets.features import FeatureConfig
 from repro.nn.training import TrainingConfig
+from tests.observations import codewords, edge_quantised, frame
 
 SLOW = os.environ.get("REPRO_SLOW_TESTS", "") not in ("", "0")
 BACKENDS = ("threads", "processes")
@@ -71,9 +73,14 @@ def _train_classifier(samples, seed):
 
 @pytest.fixture(scope="module")
 def scenario():
-    return impostor_scenario(
+    """The impostor scenario as the service sees it: every ``V~`` is the one
+    rebuilt from the codewords a beamformee sends for it, so the classifiers
+    train and calibrate on the traffic they serve."""
+    raw = impostor_scenario(
         num_enrolled=NUM_ENROLLED, num_unseen=2, num_per_module=20, seed=0
     )
+    populations = ("enrolled_train", "enrolled_test", "unseen", "spoofed")
+    return replace(raw, **{name: edge_quantised(getattr(raw, name)) for name in populations})
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +96,13 @@ def classifier_v1(scenario):
 
 @pytest.fixture(scope="module")
 def feed(scenario):
-    return interleaved_traffic(scenario, sources_per_population=2, seed=0)
+    """The interleaved scenario traffic as ``(source, codewords)`` pairs."""
+    return [
+        (source, codewords(sample.v_tilde))
+        for source, sample in interleaved_traffic(
+            scenario, sources_per_population=2, seed=0
+        )
+    ]
 
 
 def _serve_with_swaps(classifier, feed, backend, swaps=(), **service_kwargs):
@@ -111,8 +124,8 @@ def _serve_with_swaps(classifier, feed, backend, swaps=(), **service_kwargs):
         backend=backend,
         **service_kwargs,
     ) as service:
-        for submitted, (source, sample) in enumerate(feed, start=1):
-            service.submit(sample, source=source)
+        for submitted, (source, observation) in enumerate(feed, start=1):
+            service.submit(observation, source=source)
             results.extend(service.collect())
             while pending and pending[0][0] == submitted:
                 service.swap_model(
@@ -155,18 +168,27 @@ class TestSwapUnderLoad:
         self, classifier_v0, feed, backend
     ):
         """Every frame is classified entirely by one version: a swap to
-        identical weights must not perturb a single bit of any decision."""
-        baseline, _, _ = _serve_with_swaps(classifier_v0, feed, backend)
-        swapped, stats, _ = _serve_with_swaps(
-            classifier_v0, feed, backend, swaps=[(len(feed) // 3, classifier_v0)]
-        )
-        assert stats.model_version == 1
-        for before, after in zip(baseline, swapped):
-            assert before.sequence == after.sequence
-            assert before.source == after.source
-            assert before.predicted_module_id == after.predicted_module_id
-            # Bitwise float equality, not approx: same version, same bits.
-            assert before.confidence == after.confidence
+        identical weights must not perturb a single bit of any decision, on
+        codeword and on frame traffic.
+
+        The swap's barrier flush cuts the micro-batches differently from the
+        swap-free run, so this parity needs the fp64 forward to give a frame
+        the same bits in any batch (pinned in ``tests/test_core_model.py``).
+        """
+        frames = [(source, frame(quantized, source)) for source, quantized in feed]
+        for traffic in (feed, frames):
+            baseline, _, _ = _serve_with_swaps(classifier_v0, traffic, backend)
+            swapped, stats, _ = _serve_with_swaps(
+                classifier_v0, traffic, backend, swaps=[(len(traffic) // 3, classifier_v0)]
+            )
+            assert stats.model_version == 1
+            assert len(baseline) == len(swapped) == len(traffic)
+            for before, after in zip(baseline, swapped):
+                assert before.sequence == after.sequence
+                assert before.source == after.source
+                assert before.predicted_module_id == after.predicted_module_id
+                # Bitwise float equality, not approx: same version, same bits.
+                assert before.confidence == after.confidence
 
     @pytest.mark.skipif(not SLOW, reason="soak variant; set REPRO_SLOW_TESTS=1")
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -206,8 +228,8 @@ class TestSwapFailures:
         with StreamingService(
             classifier_v0, num_workers=2, batch_size=8, backend=backend
         ) as service:
-            for source, sample in feed[:8]:
-                service.submit(sample, source=source)
+            for source, observation in feed[:8]:
+                service.submit(observation, source=source)
             with pytest.raises(ServiceError, match="model swap failed"):
                 service.swap_model(bogus)
             # The failed shard poisons the service rather than serving a
@@ -224,7 +246,7 @@ class TestSwapFailures:
             with pytest.raises(ServiceError, match="must be 1"):
                 service.swap_model(stale)
             # The failed precondition leaves the service fully usable.
-            results = service.drain([sample for _, sample in feed[:8]])
+            results = service.drain([observation for _, observation in feed[:8]])
             assert len(results) == 8
             assert service.model_version == 0
 
@@ -234,8 +256,8 @@ class TestSwapFailures:
         with StreamingService(
             classifier_v0, num_workers=2, batch_size=8, backend="processes"
         ) as service:
-            for source, sample in feed[:8]:
-                service.submit(sample, source=source)
+            for source, observation in feed[:8]:
+                service.submit(observation, source=source)
             service.flush()
             service.collect()
             for shard in service._backend.shards:
@@ -267,6 +289,9 @@ class TestThresholdHotSwap:
         )
         assert stats.open_set
         assert stats.model_version == 1
+        # The calibrated threshold accepts traffic before the swap, so the
+        # rejections after it are the bundled threshold's doing.
+        assert any(r.accepted for r in results if r.model_version == 0)
         new_version = [r for r in results if r.model_version == 1]
         assert new_version
         assert all(not result.accepted for result in new_version)
