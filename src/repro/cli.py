@@ -168,16 +168,15 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _load_classifier(
     args: argparse.Namespace, samples: Sequence[FeedbackSample]
 ) -> DeepCsiClassifier:
-    """Restore the stored model for the geometry of ``samples``."""
-    feature = _feature_config(samples, args.stride, args.stream)
-    num_classes = max(s.module_id for s in samples) + 1
-    config = ClassifierConfig(
-        num_classes=max(num_classes, args.num_classes),
-        feature=feature,
-        model=PAPER_MODEL_CONFIG if args.paper_model else FAST_MODEL_CONFIG,
-        seed=args.seed,
-    )
-    return DeepCsiClassifier(config).load(args.model_dir)
+    """Restore the stored model; refuse a split of another ``(K, M, N_SS)``."""
+    classifier = DeepCsiClassifier.load(args.model_dir)
+    geometry = samples[0].v_tilde.shape
+    if geometry != classifier.geometry:
+        raise CliError(
+            f"split {args.split} has (K, M, N_SS) = {geometry}, but the model "
+            f"was trained on {classifier.geometry}"
+        )
+    return classifier
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -490,6 +489,10 @@ def _add_dataset_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("dataset_path", help="path of a dataset .npz archive")
     parser.add_argument("--split", default="S1", choices=SPLIT_NAMES)
     parser.add_argument("--beamformee", type=int, default=1, choices=(1, 2))
+
+
+def _add_feature_arguments(parser: argparse.ArgumentParser) -> None:
+    """The input selection a new model is trained (or probed) on."""
     parser.add_argument("--stride", type=int, default=4, help="keep every N-th sub-carrier")
     parser.add_argument("--stream", type=int, default=0, help="spatial stream used as input")
     parser.add_argument("--seed", type=int, default=0)
@@ -520,6 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     train = subparsers.add_parser("train", help="train a DeepCSI classifier")
     _add_dataset_arguments(train)
+    _add_feature_arguments(train)
     train.add_argument("model_dir", help="directory the trained model is stored in")
     train.add_argument("--epochs", type=int, default=15)
     train.add_argument("--batch-size", type=int, default=32)
@@ -534,8 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = subparsers.add_parser("evaluate", help="evaluate a stored model")
     _add_dataset_arguments(evaluate)
     evaluate.add_argument("model_dir")
-    evaluate.add_argument("--num-classes", type=int, default=10)
-    evaluate.add_argument("--paper-model", action="store_true")
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     authenticate = subparsers.add_parser(
@@ -544,8 +546,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dataset_arguments(authenticate)
     authenticate.add_argument("model_dir")
-    authenticate.add_argument("--num-classes", type=int, default=10)
-    authenticate.add_argument("--paper-model", action="store_true")
     authenticate.add_argument(
         "--batch-size",
         type=int,
@@ -593,8 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_dataset_arguments(serve)
     serve.add_argument("model_dir")
-    serve.add_argument("--num-classes", type=int, default=10)
-    serve.add_argument("--paper-model", action="store_true")
     serve.add_argument(
         "--workers",
         type=int,
@@ -691,6 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         "probe", help="linear separability probe on a dataset split"
     )
     _add_dataset_arguments(probe)
+    _add_feature_arguments(probe)
     probe.set_defaults(handler=_cmd_probe)
 
     from repro.analysis.lint.cli import build_lint_parser

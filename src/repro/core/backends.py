@@ -180,9 +180,10 @@ class ThreadBackend:
     def swap(self, version: ModelVersion) -> None:
         """Install a model version into every shard at a batch boundary.
 
-        Each shard flushes its buffered frames under the old weights first
-        (inside :meth:`InferenceEngine.install_model`), so no frame is
-        dropped and none is split across versions.  The swap token rides the
+        Each shard decodes its own classifier from the version's blob and
+        flushes its buffered frames under the old one first (inside
+        :meth:`InferenceEngine.install_model`), so no frame is dropped and
+        none is split across versions.  The swap token rides the
         same queue as the frames, which orders it against in-flight
         submissions exactly like the process backend's ring record.
         """
@@ -371,10 +372,7 @@ def _shard_worker_main(
             assert swap is not None
             if not failed:
                 try:
-                    version = ModelVersion.from_bytes(
-                        swap.blob, expected_version=swap.version
-                    )
-                    ship(engine.install_model(version))
+                    ship(engine.install_model(ModelVersion(swap.version, swap.blob)))
                 except BaseException as exc:  # noqa: BLE001 - reported upstream
                     failed = True
                     sequences.clear()
@@ -602,15 +600,13 @@ class ProcessBackend:
     def swap(self, version: ModelVersion) -> None:
         """Install a model version into every worker process.
 
-        The version is serialised once and enqueued on every shard's ring as
-        a :data:`RECORD_MODEL_SWAP` record; FIFO ordering against in-flight
+        The version's blob is enqueued on every shard's ring as a
+        :data:`RECORD_MODEL_SWAP` record; FIFO ordering against in-flight
         frame records gives each shard its epoch barrier for free.  Blocks
         until every live shard acks the install (a dead worker raises
         instead of hanging the barrier).
         """
-        record = pack_model_swap_record(
-            0, version.version, version.to_bytes(), version.open_set_threshold
-        )
+        record = pack_model_swap_record(0, version.version, version.blob)
         with self._lifecycle_lock:
             acks = self._swap_acks.setdefault(version.version, set())
             try:

@@ -7,15 +7,17 @@
 2. per-channel standardisation (statistics estimated on the training set),
 3. the DeepCSI CNN (:func:`repro.core.model.build_deepcsi_model`),
 4. the training loop (:class:`repro.nn.training.Trainer`),
-5. persistence of weights and normalisation statistics.
+5. the model artifact (:meth:`DeepCsiClassifier.to_bytes`): one ``.npz``
+   holding everything needed to serve the model again without its config.
 """
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Tuple, Union
+from typing import BinaryIO, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,11 +35,11 @@ from repro.datasets.features import (
     apply_normalization,
     normalize_features,
 )
+from repro.core.openset import OpenSetPolicy
 from repro.nn.compute import COMPUTE_NAMES
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.optimizers import Adam
-from repro.nn.serialization import load_weights, save_weights
 from repro.nn.training import History, Trainer, TrainingConfig
 
 
@@ -45,9 +47,17 @@ class ClassifierError(ValueError):
     """Raised for invalid classifier usage."""
 
 
-def _jsonify(value):
-    """Round-trip a config dict through JSON types (tuples become lists)."""
-    return json.loads(json.dumps(value))
+#: File of the model artifact inside a :meth:`DeepCsiClassifier.save` directory.
+MODEL_FILE = "model.npz"
+
+#: Archive key of the artifact's JSON metadata record.
+_META_KEY = "__meta__"
+
+#: Archive key prefix of the weight tensors.
+_WEIGHT_PREFIX = "weight/"
+
+#: Archive key of the open-set policy's enrolled centroids.
+_CENTROIDS_KEY = "open_set/centroids"
 
 
 @dataclass(frozen=True)
@@ -93,6 +103,8 @@ class DeepCsiClassifier:
         self.model: Optional[Sequential] = None
         self._normalization: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._input_shape: Optional[Tuple[int, int, int]] = None
+        #: ``(K, M, N_SS)`` of the training ``V~``, recorded by :meth:`fit`.
+        self.geometry: Optional[Tuple[int, int, int]] = None
 
     # ------------------------------------------------------------------ #
     # Training
@@ -110,6 +122,7 @@ class DeepCsiClassifier:
         features, statistics = normalize_features(features)
         self._normalization = statistics
         self._input_shape = features.shape[1:]
+        self.geometry = tuple(train_samples[0].v_tilde.shape)
 
         rng = np.random.default_rng(self.config.seed)
         self.model = build_deepcsi_model(
@@ -285,71 +298,159 @@ class DeepCsiClassifier:
         )
 
     # ------------------------------------------------------------------ #
-    # Persistence
+    # Persistence: the model artifact
     # ------------------------------------------------------------------ #
-    def save(self, directory: Union[str, Path]) -> Path:
-        """Persist weights, normalisation statistics and metadata."""
+    def to_bytes(
+        self, version: int = 0, open_set: Optional[OpenSetPolicy] = None
+    ) -> bytes:
+        """Serialise the model as one ``.npz`` blob, the only model format.
+
+        The blob holds the weights, the normalisation statistics, the full
+        :class:`ClassifierConfig`, the input shape, the trained ``(K, M,
+        N_SS)`` and the compute name, so :func:`read_model` rebuilds the
+        classifier without a config.  A served model version also stamps its
+        ``version`` number and the ``open_set`` policy calibrated for it.
+        """
         model = self._require_trained()
+        mean, std = self._normalization
+        meta = {
+            "config": asdict(self.config),
+            "input_shape": list(self._input_shape),
+            "geometry": list(self.geometry),
+            "compute": self.compute_name,
+            "version": int(version),
+        }
+        arrays = {_WEIGHT_PREFIX + name: param for name, param, _ in model.parameters()}
+        arrays["normalization/mean"] = mean
+        arrays["normalization/std"] = std
+        if open_set is not None:
+            meta["open_set"] = {
+                "scoring": open_set.scoring,
+                "threshold": float(open_set.threshold),
+                "centroid_scale": float(open_set.centroid_scale),
+            }
+            if open_set.centroids is not None:
+                arrays[_CENTROIDS_KEY] = open_set.centroids
+        arrays[_META_KEY] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        return buffer.getvalue()
+
+    def save(self, directory: Union[str, Path]) -> Path:
+        """Write the model artifact to ``directory/model.npz``."""
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
-        save_weights(model, directory / "weights.npz")
-        mean, std = self._normalization
-        np.savez(directory / "normalization.npz", mean=mean, std=std)
-        metadata = {
-            "num_classes": self.config.num_classes,
-            "compute": self.compute_name,
-            "input_shape": list(self._input_shape),
-            "seed": self.config.seed,
-            "learning_rate": self.config.learning_rate,
-            "feature": _jsonify(asdict(self.config.feature)),
-            "model": _jsonify(asdict(self.config.model)),
-            "training": _jsonify(asdict(self.config.training)),
-        }
-        (directory / "metadata.json").write_text(json.dumps(metadata, indent=2))
+        (directory / MODEL_FILE).write_bytes(self.to_bytes())
         return directory
 
-    def load(self, directory: Union[str, Path]) -> "DeepCsiClassifier":
-        """Restore a classifier previously stored with :meth:`save`.
+    @classmethod
+    def from_bytes(cls, blob: bytes) -> "DeepCsiClassifier":
+        """Rebuild a classifier from a :meth:`to_bytes` blob."""
+        return read_model(io.BytesIO(blob))[0]
 
-        The classifier must be constructed with the same
-        :class:`ClassifierConfig` that produced the stored weights.  The
-        compute backend named in ``metadata.json`` is re-attached.
+    @classmethod
+    def load(cls, directory: Union[str, Path]) -> "DeepCsiClassifier":
+        """Rebuild the classifier :meth:`save` stored in ``directory``.
+
+        The arrays are read from the file, not through a copy of its bytes.
         """
-        directory = Path(directory)
-        metadata = json.loads((directory / "metadata.json").read_text())
-        if metadata["num_classes"] != self.config.num_classes:
-            raise ClassifierError(
-                "stored model was trained with a different number of classes"
-            )
-        compute = metadata.get("compute", "fp64")
-        if compute != "fp64" and compute not in COMPUTE_NAMES:
-            raise ClassifierError(
-                f"stored model was saved with the unsupported compute backend "
-                f"{compute!r}; expected 'fp64' or one of {COMPUTE_NAMES}"
-            )
-        for key, sub_config in (("feature", self.config.feature), ("model", self.config.model)):
-            stored = metadata.get(key)
-            if stored is not None and stored != _jsonify(asdict(sub_config)):
-                raise ClassifierError(
-                    f"stored model was trained with a different {key} "
-                    f"configuration: {stored} != {_jsonify(asdict(sub_config))}"
-                )
-        self._input_shape = tuple(metadata["input_shape"])
-        rng = np.random.default_rng(self.config.seed)
-        self.model = build_deepcsi_model(
-            self._input_shape,
-            self.config.num_classes,
-            config=self.config.model,
-            rng=rng,
-        )
-        load_weights(self.model, directory / "weights.npz")
-        with np.load(directory / "normalization.npz") as archive:
-            self._normalization = (archive["mean"], archive["std"])
-        if compute != "fp64":
-            self.model.set_compute(compute)
-        return self
+        return read_model(Path(directory) / MODEL_FILE)[0]
 
     @property
     def num_parameters(self) -> int:
         """Number of trainable parameters of the underlying model."""
         return self._require_trained().num_parameters
+
+
+def _config_from_json(fields: dict) -> ClassifierConfig:
+    """Rebuild a :class:`ClassifierConfig` from its JSON form (lists -> tuples)."""
+
+    def tuples(values: dict) -> dict:
+        return {key: tuple(v) if isinstance(v, list) else v for key, v in values.items()}
+
+    return ClassifierConfig(
+        num_classes=fields["num_classes"],
+        feature=FeatureConfig(**tuples(fields["feature"])),
+        model=DeepCsiModelConfig(**tuples(fields["model"])),
+        training=TrainingConfig(**tuples(fields["training"])),
+        learning_rate=fields["learning_rate"],
+        seed=fields["seed"],
+    )
+
+
+def read_model(
+    source: Union[Path, BinaryIO],
+) -> Tuple[DeepCsiClassifier, int, Optional[OpenSetPolicy]]:
+    """Decode a model artifact from a file path or a binary file object.
+
+    Returns the classifier, the version number stamped on the artifact (0 for
+    :meth:`DeepCsiClassifier.save`) and its open-set policy (``None`` when it
+    carries none).  The arrays are read straight from ``source``.
+
+    Raises
+    ------
+    ClassifierError
+        When ``source`` is not a readable artifact, its weights do not match
+        the architecture its configuration builds, or it names an unknown
+        compute backend.
+    """
+    try:
+        with np.load(source) as archive:
+            meta = json.loads(archive[_META_KEY].tobytes().decode("utf-8"))
+            arrays = {name: archive[name] for name in archive.files if name != _META_KEY}
+        config = _config_from_json(meta["config"])
+        compute = meta["compute"]
+        input_shape = tuple(meta["input_shape"])
+        geometry = tuple(meta["geometry"])
+        normalization = (arrays["normalization/mean"], arrays["normalization/std"])
+        version = int(meta["version"])
+        policy = meta.get("open_set")
+        open_set = (
+            None
+            if policy is None
+            else OpenSetPolicy(centroids=arrays.get(_CENTROIDS_KEY), **policy)
+        )
+    except Exception as error:
+        # Corrupt bytes surface from zipfile/np.load as BadZipFile, EOFError,
+        # NotImplementedError, ValueError or KeyError; a swap must refuse
+        # them all with one error and keep serving.
+        raise ClassifierError(f"not a readable model artifact: {error}") from error
+    if compute != "fp64" and compute not in COMPUTE_NAMES:
+        raise ClassifierError(
+            f"the model artifact names the unsupported compute backend "
+            f"{compute!r}; expected 'fp64' or one of {COMPUTE_NAMES}"
+        )
+    model = build_deepcsi_model(
+        input_shape,
+        config.num_classes,
+        config=config.model,
+        rng=np.random.default_rng(config.seed),
+    )
+    expected = {name: param for name, param, _ in model.parameters()}
+    stored = {
+        name[len(_WEIGHT_PREFIX):]: array
+        for name, array in arrays.items()
+        if name.startswith(_WEIGHT_PREFIX)
+    }
+    missing = sorted(set(expected) - set(stored))
+    unexpected = sorted(set(stored) - set(expected))
+    if missing or unexpected:
+        raise ClassifierError(
+            f"the artifact's weights do not match its architecture: "
+            f"missing={missing}, unexpected={unexpected}"
+        )
+    for name, param in expected.items():
+        if stored[name].shape != param.shape:
+            raise ClassifierError(
+                f"shape mismatch for {name!r}: expected {param.shape}, "
+                f"got {stored[name].shape}"
+            )
+        param[...] = stored[name]
+    if compute != "fp64":
+        model.set_compute(compute)
+    classifier = DeepCsiClassifier(config)
+    classifier.model = model
+    classifier._normalization = normalization
+    classifier._input_shape = input_shape
+    classifier.geometry = geometry
+    return classifier, version, open_set

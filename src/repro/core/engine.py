@@ -29,10 +29,10 @@ streaming one:
 * per-source score trajectories feed an optional
   :class:`~repro.core.lifecycle.DriftMonitor` that flags sources whose
   recent known-ness degrades below their own baseline;
-* :meth:`InferenceEngine.install_model` swaps in a versioned model snapshot
+* :meth:`InferenceEngine.install_model` swaps in a versioned model
   (:class:`~repro.core.lifecycle.ModelVersion`) at a batch boundary --
-  buffered frames are flushed under the old weights first, so every result
-  carries the version that actually classified it and the per-source
+  buffered frames are flushed under the old classifier first, so every
+  result carries the version that actually classified it and the per-source
   version stamps are monotonically non-decreasing;
 * throughput counters (:class:`EngineStats`) expose frames/sec, rejections
   and a score histogram for the benchmarks and the CLI.
@@ -564,14 +564,16 @@ class InferenceEngine:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def install_model(self, version: ModelVersion) -> List[EngineResult]:
-        """Swap in a versioned model snapshot at a batch boundary.
+        """Swap in a versioned model at a batch boundary.
 
-        The epoch barrier of the zero-downtime swap: everything buffered is
-        flushed through the *old* weights first, then the snapshot's weights
-        + compute state (and open-set threshold, when it carries one) are
-        installed and the engine's version stamp is bumped.  A frame is
-        therefore always classified entirely by one version, and the
-        ``model_version`` stamped on results never decreases.
+        The epoch barrier of the zero-downtime swap: the version's blob is
+        decoded first, everything buffered is flushed through the *old*
+        classifier, then the decoded classifier replaces it wholesale --
+        weights, normalisation, feature selection and compute backend -- and
+        the engine's version stamp is bumped.  An open-set engine also takes
+        the version's open-set policy when it carries one; a closed-set engine
+        ignores it.  A frame is therefore always classified entirely by one
+        version, and the ``model_version`` stamped on results never decreases.
 
         Returns the results of the barrier flush (classified by the old
         version) so callers can hand them to their consumers -- nothing is
@@ -582,12 +584,13 @@ class InferenceEngine:
                 f"model version must increase: engine is at "
                 f"{self._model_version}, got {version.version}"
             )
+        classifier, open_set = version.decode()
         flushed = self._process_pending()
-        version.apply(self.classifier)
-        if version.open_set_threshold is not None and self._open_set is not None:
-            self._open_set = replace(
-                self._open_set, threshold=float(version.open_set_threshold)
-            )
+        self.classifier = classifier
+        if self._profile:
+            classifier.model.enable_profiling()
+        if open_set is not None and self._open_set is not None:
+            self._open_set = open_set
         self._model_version = version.version
         with self._stats_lock:
             self._stats.model_version = version.version

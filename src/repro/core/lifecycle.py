@@ -4,11 +4,13 @@ An always-on authenticator cannot stop serving to pick up a better model or
 to notice that its decision quality is degrading.  This module holds the two
 plain-data building blocks the engine/service/backends layers share:
 
-* :class:`ModelVersion` -- an immutable, versioned snapshot of everything a
-  shard engine needs to serve a classifier: the weight tensors, the compute
-  backend name, and the open-set threshold.
-  It serialises to a single ``.npz`` byte blob (:meth:`ModelVersion.to_bytes`)
-  so the process backend can ship it over the shared-memory ring as one
+* :class:`ModelVersion` -- a version number plus the model artifact
+  (:meth:`~repro.core.classifier.DeepCsiClassifier.to_bytes`): the whole
+  classifier -- weights, normalisation statistics, feature and model
+  configuration, trained geometry, compute name -- stamped with that version
+  number and, optionally, the open-set policy calibrated for it.  A swap
+  installs the classifier it decodes wholesale, and the process backend
+  ships the same bytes over the shared-memory ring as one
   :data:`~repro.core.transport.RECORD_MODEL_SWAP` control record.
 * :class:`DriftMonitor` -- per-source EWMA trajectories of the engine's
   known-ness scores.  A fast EWMA tracks the recent trend, a slow EWMA the
@@ -24,34 +26,21 @@ use them without cycles.
 from __future__ import annotations
 
 import io
-import json
 import threading
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple, TYPE_CHECKING
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-if TYPE_CHECKING:
-    from repro.core.classifier import DeepCsiClassifier
+from repro.core.classifier import ClassifierError, DeepCsiClassifier, read_model
+from repro.core.openset import OpenSetPolicy
 
 
 class LifecycleError(RuntimeError):
     """Raised for invalid model-version or drift-monitor usage."""
 
 
-#: Compute name reported when no compute backend is attached.
-_DEFAULT_COMPUTE = "fp64"
-
-#: Archive key of the JSON metadata record inside a serialised version blob.
-_META_KEY = "__meta__"
-
-#: Archive key prefix of the weight tensors.
-_WEIGHT_PREFIX = "weight/"
-
-
 @dataclass(frozen=True)
 class ModelVersion:
-    """Versioned snapshot of a servable classifier.
+    """A versioned servable: one model artifact stamped with its version.
 
     Attributes
     ----------
@@ -59,147 +48,53 @@ class ModelVersion:
         Monotonic version number.  Engines refuse to install a version that
         does not increase their current one, which is what makes the
         per-verdict version stamp non-decreasing.
-    weights:
-        Parameter arrays keyed by their qualified names (the same
-        self-describing ``"03_conv/weight"`` names the ``.npz`` weight
-        archives use), so installing into a mismatched architecture fails
-        loudly instead of silently scrambling layers.
-    compute:
-        Name of the compute backend the snapshot was serving with
-        (``"fp64"`` when none was attached).
-    open_set_threshold:
-        Open-set rejection threshold bundled with the weights (``None`` keeps
-        the engine's current threshold).
+    blob:
+        The :meth:`~repro.core.classifier.DeepCsiClassifier.to_bytes`
+        artifact, stamped with ``version`` and, when the version brings one,
+        its open-set policy (scoring rule, threshold, centroids and scale).
     """
 
     version: int
-    weights: Mapping[str, np.ndarray]
-    compute: str = _DEFAULT_COMPUTE
-    open_set_threshold: Optional[float] = None
+    blob: bytes = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.version < 1:
             raise LifecycleError("model versions start at 1")
-        if not self.weights:
-            raise LifecycleError("a model version must carry weight tensors")
 
-    # ------------------------------------------------------------------ #
-    # Construction
-    # ------------------------------------------------------------------ #
     @classmethod
     def from_classifier(
         cls,
-        classifier: "DeepCsiClassifier",
+        classifier: DeepCsiClassifier,
         version: int,
-        open_set_threshold: Optional[float] = None,
+        open_set: Optional[OpenSetPolicy] = None,
     ) -> "ModelVersion":
-        """Snapshot a trained classifier (weights + compute name) as a version."""
-        model = classifier.model
-        if model is None:
-            raise LifecycleError("the classifier has no trained model to snapshot")
-        weights = {
-            name: np.array(param, copy=True) for name, param, _ in model.parameters()
-        }
-        return cls(
-            version=version,
-            weights=weights,
-            compute=classifier.compute_name,
-            open_set_threshold=open_set_threshold,
-        )
+        """Snapshot a trained classifier (and its open-set policy) as a version."""
+        try:
+            blob = classifier.to_bytes(version=version, open_set=open_set)
+        except ClassifierError as error:
+            raise LifecycleError(f"cannot snapshot the classifier: {error}") from error
+        return cls(version=version, blob=blob)
 
-    # ------------------------------------------------------------------ #
-    # Installation
-    # ------------------------------------------------------------------ #
-    def apply(self, classifier: "DeepCsiClassifier") -> None:
-        """Install this version's weights and compute backend into a classifier.
+    def decode(self) -> Tuple[DeepCsiClassifier, Optional[OpenSetPolicy]]:
+        """The classifier and open-set policy (``None`` = none) of this version.
 
-        Validates names and shapes against the live architecture *before*
-        touching any tensor, so a mismatched version leaves the classifier
-        exactly as it was.  The compute backend is re-attached, prepared
-        against the new weights.
-        """
-        model = classifier.model
-        if model is None:
-            raise LifecycleError("cannot install a model version into an untrained classifier")
-        expected = {name: param for name, param, _ in model.parameters()}
-        missing = sorted(set(expected) - set(self.weights))
-        unexpected = sorted(set(self.weights) - set(expected))
-        if missing or unexpected:
-            raise LifecycleError(
-                f"model version {self.version} does not match the architecture: "
-                f"missing={missing}, unexpected={unexpected}"
-            )
-        for name, param in expected.items():
-            value = np.asarray(self.weights[name])
-            if value.shape != param.shape:
-                raise LifecycleError(
-                    f"model version {self.version} weight {name!r} has shape "
-                    f"{value.shape}, expected {param.shape}"
-                )
-        for name, param in expected.items():
-            param[...] = self.weights[name]
-        model.set_compute(None if self.compute == _DEFAULT_COMPUTE else self.compute)
-
-    # ------------------------------------------------------------------ #
-    # Wire form
-    # ------------------------------------------------------------------ #
-    def to_bytes(self) -> bytes:
-        """Serialise to one ``.npz`` blob (the swap record's payload)."""
-        meta = {
-            "version": self.version,
-            "compute": self.compute,
-            "open_set_threshold": self.open_set_threshold,
-        }
-        arrays: Dict[str, np.ndarray] = {
-            _META_KEY: np.frombuffer(
-                json.dumps(meta).encode("utf-8"), dtype=np.uint8
-            )
-        }
-        for name, array in self.weights.items():
-            arrays[_WEIGHT_PREFIX + name] = np.asarray(array)
-        buffer = io.BytesIO()
-        np.savez(buffer, **arrays)
-        return buffer.getvalue()
-
-    @classmethod
-    def from_bytes(
-        cls, blob: bytes, expected_version: Optional[int] = None
-    ) -> "ModelVersion":
-        """Decode a blob produced by :meth:`to_bytes`.
-
-        ``expected_version`` cross-checks the version the transport record
-        header announced against the one embedded in the blob, so a payload
-        that was truncated-and-reassembled or paired with the wrong header
-        fails loudly instead of installing the wrong weights.
+        Cross-checks the version stamped in the blob against :attr:`version`
+        (the number a transport record header announced), so a payload
+        paired with the wrong header fails loudly instead of installing the
+        wrong model.
         """
         try:
-            with np.load(io.BytesIO(blob)) as archive:
-                stored = {name: archive[name] for name in archive.files}
-        except Exception as error:
+            classifier, version, open_set = read_model(io.BytesIO(self.blob))
+        except ClassifierError as error:
             raise LifecycleError(
                 f"truncated or corrupt model-version payload: {error}"
             ) from error
-        if _META_KEY not in stored:
-            raise LifecycleError("model-version payload has no metadata record")
-        meta = json.loads(stored.pop(_META_KEY).tobytes().decode("utf-8"))
-        version = int(meta["version"])
-        if expected_version is not None and version != expected_version:
+        if version != self.version:
             raise LifecycleError(
                 f"model-version mismatch: the transport record announced "
-                f"version {expected_version} but the payload carries {version}"
+                f"version {self.version} but the payload carries {version}"
             )
-        weights = {
-            name[len(_WEIGHT_PREFIX):]: array
-            for name, array in stored.items()
-            if name.startswith(_WEIGHT_PREFIX)
-        }
-        threshold = meta.get("open_set_threshold")
-        return cls(
-            version=version,
-            weights=weights,
-            compute=str(meta.get("compute", _DEFAULT_COMPUTE)),
-            open_set_threshold=None if threshold is None else float(threshold),
-        )
+        return classifier, open_set
 
 
 @dataclass(frozen=True)

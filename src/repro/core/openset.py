@@ -25,13 +25,15 @@ it has *never* seen.  This module adds that capability on top of the trained
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.annotations import hot_path
-from repro.core.classifier import DeepCsiClassifier
 from repro.datasets.containers import FeedbackSample
+
+if TYPE_CHECKING:
+    from repro.core.classifier import DeepCsiClassifier
 
 
 class OpenSetError(ValueError):

@@ -57,7 +57,7 @@ import os
 import threading
 import time
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import TracebackType
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
@@ -337,7 +337,6 @@ class StreamingService:
             # Attach before the backend copies the classifier so every shard
             # inherits the prepared backend.
             classifier.set_compute(compute)
-        self.compute_name = classifier.compute_name
         self.precision = precision
         num_workers = resolve_num_workers(num_workers, backend)
         if num_workers < 1:
@@ -453,48 +452,61 @@ class StreamingService:
     def swap_model(
         self,
         replacement: Union[DeepCsiClassifier, ModelVersion],
-        open_set_threshold: Optional[float] = None,
+        open_set: Optional[Union[OpenSetPolicy, OpenSetAuthenticator]] = None,
     ) -> int:
-        """Install new model weights into every running shard, zero-downtime.
+        """Install a new classifier into every running shard, zero-downtime.
 
         Accepts either a trained classifier (snapshotted here as the next
         :class:`~repro.core.lifecycle.ModelVersion`) or a pre-built version
-        whose number must be exactly the service's current version + 1.
+        whose number must be exactly the service's current version + 1.  The
+        whole classifier is swapped: weights, normalisation statistics,
+        feature selection and compute backend.  The version's blob is decoded
+        once here first, so a corrupt version is refused with
+        :class:`ServiceError` before any shard sees it and the service keeps
+        serving the old one.
 
         The swap is an epoch barrier per shard, not service-wide: each shard
-        flushes its buffered frames under the old weights at its own batch
+        flushes its buffered frames under the old classifier at its own batch
         boundary (thread shards via a queued control token, process shards
         via a :data:`~repro.core.transport.RECORD_MODEL_SWAP` ring record
         that is FIFO-ordered against in-flight frames).  No frame is dropped,
         every frame is classified entirely by one version, and the
         ``model_version`` stamped on results/verdicts never decreases.
 
-        ``open_set_threshold`` optionally re-calibrates the open-set policy
-        together with the weights (ignored by closed-set shards).  Returns
-        the installed version number.  Concurrent :meth:`submit` calls are
-        safe; concurrent :meth:`swap_model` calls serialise.
+        ``open_set`` (an :class:`~repro.core.openset.OpenSetPolicy` or a
+        calibrated :class:`~repro.core.openset.OpenSetAuthenticator`) replaces
+        the shards' open-set policy together with the classifier; ``None``
+        keeps the current one, and closed-set shards ignore it.  A pre-built
+        version carries its own policy
+        (:meth:`~repro.core.lifecycle.ModelVersion.from_classifier`).
+        Returns the installed version number.  Concurrent :meth:`submit`
+        calls are safe; concurrent :meth:`swap_model` calls serialise.
         """
         self._check_usable()
+        if isinstance(open_set, OpenSetAuthenticator):
+            open_set = open_set.policy()
         with self._swap_lock:
             next_version = self._model_version + 1
             if isinstance(replacement, ModelVersion):
-                version = replacement
-                if version.version != next_version:
+                if replacement.version != next_version:
                     raise ServiceError(
                         f"model version must be {next_version} (current + 1), "
-                        f"got {version.version}"
+                        f"got {replacement.version}"
                     )
-                if open_set_threshold is not None:
-                    version = replace(
-                        version, open_set_threshold=float(open_set_threshold)
+                if open_set is not None:
+                    raise ServiceError(
+                        "a ModelVersion carries its own open-set policy; pass "
+                        "it to ModelVersion.from_classifier"
                     )
-            else:
-                try:
-                    version = ModelVersion.from_classifier(
-                        replacement, next_version, open_set_threshold
-                    )
-                except LifecycleError as error:
-                    raise ServiceError(f"model swap failed: {error}") from error
+            try:
+                version = (
+                    replacement
+                    if isinstance(replacement, ModelVersion)
+                    else ModelVersion.from_classifier(replacement, next_version, open_set)
+                )
+                version.decode()
+            except LifecycleError as error:
+                raise ServiceError(f"model swap failed: {error}") from error
             try:
                 self._backend.swap(version)
             except (WorkerFailure, TransportError, LifecycleError) as error:
@@ -576,7 +588,7 @@ class StreamingService:
         return ServiceStats(
             num_workers=self.num_workers,
             backend=self.backend_name,
-            compute=self.compute_name,
+            compute=worker_stats[0].compute,
             precision=self.precision,
             frames_in=frames_in,
             frames_out=sum(stats.frames_out for stats in worker_stats),

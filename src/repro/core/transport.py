@@ -31,7 +31,7 @@ Record kinds:
                           echoed ``sequence`` (used as a flush generation id)
 :data:`RECORD_STOP`       control: flush, ack and exit the worker loop
 :data:`RECORD_CODEWORDS`  integer angle codewords + quantisation config
-:data:`RECORD_MODEL_SWAP` control: install a serialised
+:data:`RECORD_MODEL_SWAP` control: install the model artifact of a
                           :class:`~repro.core.lifecycle.ModelVersion`, ack
                           with the version number
 ========================  ====================================================
@@ -58,10 +58,11 @@ ordered against: because the ring is strictly FIFO, every frame enqueued
 *before* the swap record is classified by the old model version and every
 frame after it by the new one -- the per-shard epoch barrier of the
 zero-downtime swap needs no extra synchronisation.  Its payload is a small
-subheader (:data:`_SWAP_HEADER`: version ``u32``, has-threshold flag ``u8``,
-threshold ``f64``, blob length ``u32``) followed by the ``.npz`` blob of
-:meth:`~repro.core.lifecycle.ModelVersion.to_bytes`; the blob (hundreds of
-KB for the paper model) simply spans as many consecutive slots as it needs.
+subheader (:data:`_SWAP_HEADER`: version ``u32``, blob length ``u32``)
+followed by the version's ``.npz`` model artifact
+(:meth:`~repro.core.classifier.DeepCsiClassifier.to_bytes`); the blob
+(~3 MB for the paper model) simply spans as many consecutive slots as it
+needs.
 """
 
 from __future__ import annotations
@@ -102,9 +103,9 @@ _CODEWORD_HEADER = struct.Struct("<BBBBBH")
 #: Wire dtype of the codeword planes (matches ``quantize_phi``'s output).
 _CODEWORD_DTYPE = np.dtype("<i2")
 
-#: Subheader of :data:`RECORD_MODEL_SWAP` payloads: version (u32),
-#: has-threshold flag (u8), open-set threshold (f64), blob length (u32).
-_SWAP_HEADER = struct.Struct("<IBdI")
+#: Subheader of :data:`RECORD_MODEL_SWAP` payloads: version (u32), blob
+#: length (u32).
+_SWAP_HEADER = struct.Struct("<II")
 
 
 @dataclass(frozen=True)
@@ -112,15 +113,14 @@ class ModelSwap:
     """Decoded payload of one :data:`RECORD_MODEL_SWAP` record.
 
     The transport layer stays ignorant of the blob's structure: ``blob`` is
-    the opaque :meth:`~repro.core.lifecycle.ModelVersion.to_bytes` archive,
-    while ``version`` and ``open_set_threshold`` are lifted into the
-    subheader so the consumer can ack (and the lifecycle layer cross-check)
-    without decoding the weights first.
+    the opaque model artifact of a :class:`~repro.core.lifecycle.ModelVersion`,
+    while ``version`` is lifted into the subheader so the consumer can ack
+    (and the lifecycle layer cross-check it against the blob's stamp)
+    without decoding the model first.
     """
 
     version: int
     blob: bytes
-    open_set_threshold: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -181,12 +181,7 @@ def pack_codeword_record(
     return _pack(RECORD_CODEWORDS, source, payload, sequence, timestamp_s)
 
 
-def pack_model_swap_record(
-    sequence: int,
-    version: int,
-    blob: bytes,
-    open_set_threshold: Optional[float] = None,
-) -> bytes:
+def pack_model_swap_record(sequence: int, version: int, blob: bytes) -> bytes:
     """Encode a model-version install as one :data:`RECORD_MODEL_SWAP`.
 
     ``version`` must fit the subheader's ``u32``; the blob is carried
@@ -196,12 +191,7 @@ def pack_model_swap_record(
         raise TransportError(
             f"model version {version} does not fit the swap record subheader"
         )
-    subheader = _SWAP_HEADER.pack(
-        version,
-        0 if open_set_threshold is None else 1,
-        0.0 if open_set_threshold is None else float(open_set_threshold),
-        len(blob),
-    )
+    subheader = _SWAP_HEADER.pack(version, len(blob))
     return _pack(RECORD_MODEL_SWAP, "", subheader + bytes(blob), sequence, 0.0)
 
 
@@ -253,17 +243,13 @@ def unpack_record(data: bytes) -> Record:
 def _unpack_model_swap(payload: bytes) -> ModelSwap:
     if len(payload) < _SWAP_HEADER.size:
         raise TransportError("truncated model-swap record subheader")
-    version, has_threshold, threshold, blob_len = _SWAP_HEADER.unpack_from(payload)
+    version, blob_len = _SWAP_HEADER.unpack_from(payload)
     blob = payload[_SWAP_HEADER.size :]
     if len(blob) != blob_len:
         raise TransportError(
             f"model-swap record blob has {len(blob)} bytes, expected {blob_len}"
         )
-    return ModelSwap(
-        version=version,
-        blob=bytes(blob),
-        open_set_threshold=float(threshold) if has_threshold else None,
-    )
+    return ModelSwap(version=version, blob=bytes(blob))
 
 
 def _unpack_codewords(payload: bytes) -> QuantizedAngles:

@@ -15,7 +15,6 @@ required functionality from scratch:
 * :mod:`repro.nn.model` -- a ``Sequential`` container.
 * :mod:`repro.nn.training` -- mini-batch training loop with validation and
   early stopping.
-* :mod:`repro.nn.serialization` -- ``.npz`` weight (de)serialisation.
 
 Data layout is ``NCHW``: ``(batch, channels, height, width)``.
 """
@@ -39,7 +38,6 @@ from repro.nn.losses import SoftmaxCrossEntropy, MeanSquaredError
 from repro.nn.optimizers import SGD, Adam
 from repro.nn.model import Sequential
 from repro.nn.training import Trainer, TrainingConfig, History
-from repro.nn.serialization import save_weights, load_weights
 
 __all__ = [
     "Layer",
@@ -63,6 +61,4 @@ __all__ = [
     "Trainer",
     "TrainingConfig",
     "History",
-    "save_weights",
-    "load_weights",
 ]

@@ -1,12 +1,12 @@
 """End-to-end tests of the command-line interface."""
 
 import json
-from pathlib import Path
+from dataclasses import replace
 
 import pytest
 
 from repro.cli import build_parser, main
-from repro.datasets.io import load_dataset
+from repro.datasets.io import load_dataset, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,10 @@ class TestProbeTrainEvaluate:
         assert code == 0
         summary = json.loads((model_dir / "training_summary.json").read_text())
         assert summary["split"] == "S1"
-        assert (model_dir / "weights.npz").exists()
+        assert sorted(path.name for path in model_dir.iterdir()) == [
+            "model.npz",
+            "training_summary.json",
+        ]
 
         code = main(
             [
@@ -145,10 +148,6 @@ class TestProbeTrainEvaluate:
                 str(model_dir),
                 "--split",
                 "S1",
-                "--stride",
-                "16",
-                "--num-classes",
-                "3",
             ]
         )
         captured = capsys.readouterr().out
@@ -162,10 +161,6 @@ class TestProbeTrainEvaluate:
                 str(model_dir),
                 "--split",
                 "S1",
-                "--stride",
-                "16",
-                "--num-classes",
-                "3",
                 "--batch-size",
                 "8",
                 "--window",
@@ -185,10 +180,6 @@ class TestProbeTrainEvaluate:
                 str(model_dir),
                 "--split",
                 "S1",
-                "--stride",
-                "16",
-                "--num-classes",
-                "3",
                 "--workers",
                 "2",
                 "--queue-depth",
@@ -219,10 +210,6 @@ class TestProbeTrainEvaluate:
                 str(model_dir),
                 "--split",
                 "S1",
-                "--stride",
-                "16",
-                "--num-classes",
-                "3",
                 "--workers",
                 "2",
                 "--backend",
@@ -259,8 +246,7 @@ class TestProbeTrainEvaluate:
 
         base = [
             "authenticate", str(generated_dataset), str(model_dir),
-            "--split", "S1", "--stride", "16",
-            "--num-classes", "3", "--batch-size", "8",
+            "--split", "S1", "--batch-size", "8",
         ]
         for compute, flags in (("fp64", []), ("fp32", ["--compute", "fp32"])):
             code = main(base + flags)
@@ -278,8 +264,7 @@ class TestProbeTrainEvaluate:
         code = main(
             [
                 "serve", str(generated_dataset), str(model_dir),
-                "--split", "S1", "--stride", "16",
-                "--num-classes", "3", "--workers", "2",
+                "--split", "S1", "--workers", "2",
                 "--batch-size", "8", "--compute", "fp32",
             ]
         )
@@ -292,8 +277,7 @@ class TestProbeTrainEvaluate:
     ):
         base = [
             "authenticate", str(generated_dataset), str(trained_model),
-            "--split", "S1", "--stride", "16",
-            "--num-classes", "3", "--batch-size", "8",
+            "--split", "S1", "--batch-size", "8",
         ]
         for precision in ("exact", "fast"):
             code = main(base + ["--precision", precision])
@@ -317,8 +301,7 @@ class TestProbeTrainEvaluate:
         code = main(
             [
                 "authenticate", str(generated_dataset), str(trained_model),
-                "--split", "S1", "--stride", "16", "--num-classes", "3",
-                "--profile",
+                "--split", "S1", "--profile",
             ]
         )
         captured = capsys.readouterr().out
@@ -363,6 +346,46 @@ class TestProbeTrainEvaluate:
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_split_of_another_geometry_exits_2(
+        self, generated_dataset, trained_model, tmp_path, capsys
+    ):
+        """The artifact records the trained (K, M, N_SS); a split of another
+        geometry is refused instead of being fed to the wrong model."""
+        dataset = load_dataset(generated_dataset)
+        narrow = replace(
+            dataset,
+            traces=[
+                replace(
+                    trace,
+                    samples=[
+                        replace(sample, v_tilde=sample.v_tilde[:200])
+                        for sample in trace.samples
+                    ],
+                )
+                for trace in dataset.traces
+            ],
+        )
+        path = save_dataset(narrow, tmp_path / "narrow.npz")
+        for command in ("evaluate", "authenticate", "serve"):
+            code = main([command, str(path), str(trained_model), "--split", "S1"])
+            assert code == 2
+            error = capsys.readouterr().err
+            assert "(K, M, N_SS) = (200, 3, 2)" in error
+            assert "(234, 3, 2)" in error
+
+    def test_model_options_are_gone_from_the_model_commands(self):
+        parser = build_parser()
+        for command in ("evaluate", "authenticate", "serve"):
+            for option in (
+                ["--num-classes", "3"],
+                ["--paper-model"],
+                ["--stride", "16"],
+                ["--stream", "0"],
+                ["--seed", "1"],
+            ):
+                with pytest.raises(SystemExit):
+                    parser.parse_args([command, "data.npz", "model-dir", *option])
 
     def test_unknown_split_is_reported_as_error(self, generated_dataset):
         with pytest.raises(SystemExit):

@@ -1,9 +1,17 @@
 """Tests for the high-level DeepCSI classifier and the evaluation helpers."""
 
+import io
+
 import numpy as np
 import pytest
 
-from repro.core.classifier import ClassifierConfig, ClassifierError, DeepCsiClassifier
+from repro.core.classifier import (
+    MODEL_FILE,
+    ClassifierConfig,
+    ClassifierError,
+    DeepCsiClassifier,
+    read_model,
+)
 from repro.core.evaluation import (
     ClassificationReport,
     EvaluationError,
@@ -15,6 +23,7 @@ from repro.core.evaluation import (
     per_class_accuracy,
 )
 from repro.core.model import DeepCsiModelConfig
+from repro.core.openset import OpenSetAuthenticator
 from repro.datasets.features import FeatureConfig, strided_subcarriers
 from repro.datasets.splits import D1_SPLITS, d1_split
 from repro.nn.training import TrainingConfig
@@ -85,84 +94,76 @@ class TestDeepCsiClassifier:
         assert 0.0 <= confidence <= 1.0
 
     def test_save_and_load_preserve_predictions(self, d1_train_test, tmp_path):
+        """``load`` needs no config: the one artifact rebuilds the classifier,
+        and its logits are bit-equal to the saved one's."""
         train, test = d1_train_test
         classifier = tiny_classifier()
         classifier.fit(train)
-        expected = classifier.predict(test[:8])
         classifier.save(tmp_path / "model")
+        assert sorted(path.name for path in (tmp_path / "model").iterdir()) == [MODEL_FILE]
 
-        restored = tiny_classifier()
-        restored.load(tmp_path / "model")
-        np.testing.assert_array_equal(restored.predict(test[:8]), expected)
-
-    def test_load_with_wrong_class_count_rejected(self, d1_train_test, tmp_path):
-        train, _ = d1_train_test
-        classifier = tiny_classifier()
-        classifier.fit(train)
-        classifier.save(tmp_path / "model")
-        wrong = tiny_classifier(num_classes=4)
-        with pytest.raises(ClassifierError):
-            wrong.load(tmp_path / "model")
-
-    def test_save_persists_the_full_configuration(self, d1_train_test, tmp_path):
-        import json
-
-        train, _ = d1_train_test
-        classifier = tiny_classifier()
-        classifier.fit(train)
-        classifier.save(tmp_path / "model")
-        metadata = json.loads((tmp_path / "model" / "metadata.json").read_text())
-        assert metadata["model"]["num_filters"] == TINY_MODEL.num_filters
-        assert tuple(metadata["model"]["kernel_widths"]) == TINY_MODEL.kernel_widths
-        assert metadata["feature"]["stream_indices"] == [0]
-        assert metadata["training"]["batch_size"] == 16
-
-    def test_load_with_wrong_architecture_rejected(self, d1_train_test, tmp_path):
-        train, _ = d1_train_test
-        classifier = tiny_classifier()
-        classifier.fit(train)
-        classifier.save(tmp_path / "model")
-
-        other_model = DeepCsiModelConfig(
-            num_filters=4,
-            kernel_widths=(3,),
-            pool_width=2,
-            dense_units=(8,),
-            dropout_retain=(0.9,),
-            attention_kernel_width=3,
+        restored = DeepCsiClassifier.load(tmp_path / "model")
+        assert restored.config == classifier.config
+        assert restored.geometry == classifier.geometry == (234, 3, 2)
+        np.testing.assert_array_equal(
+            restored.predict_logits(test[:8]), classifier.predict_logits(test[:8])
         )
-        wrong = DeepCsiClassifier(
-            ClassifierConfig(
-                num_classes=3,
-                feature=classifier.config.feature,
-                model=other_model,
-                training=classifier.config.training,
-            )
-        )
-        with pytest.raises(ClassifierError, match="model"):
-            wrong.load(tmp_path / "model")
 
-    def test_load_with_wrong_feature_selection_rejected(
-        self, d1_train_test, tmp_path
-    ):
+    def test_load_through_an_instance_ignores_its_config(self, d1_train_test, tmp_path):
+        """``DeepCsiClassifier(config).load(dir)`` keeps working: the
+        classmethod binds through the instance and returns the stored model,
+        whatever config the instance was built with."""
         train, _ = d1_train_test
         classifier = tiny_classifier()
         classifier.fit(train)
         classifier.save(tmp_path / "model")
+        other = tiny_classifier(num_classes=4, seed=3)
+        restored = other.load(tmp_path / "model")
+        assert restored is not other
+        assert restored.config == classifier.config
 
-        wrong = DeepCsiClassifier(
-            ClassifierConfig(
-                num_classes=3,
-                feature=FeatureConfig(
-                    stream_indices=(1,),
-                    subcarrier_positions=strided_subcarriers(234, 8),
-                ),
-                model=TINY_MODEL,
-                training=classifier.config.training,
-            )
+    def test_artifact_round_trips_version_and_open_set_policy(self, d1_train_test):
+        train, _ = d1_train_test
+        classifier = tiny_classifier()
+        classifier.fit(train)
+        assert read_model(io.BytesIO(classifier.to_bytes()))[1:] == (0, None)
+        policy = OpenSetAuthenticator(
+            classifier, scoring="centroid_distance", threshold=0.25
+        ).enroll(train).policy()
+        _, version, decoded = read_model(
+            io.BytesIO(classifier.to_bytes(version=7, open_set=policy))
         )
-        with pytest.raises(ClassifierError, match="feature"):
-            wrong.load(tmp_path / "model")
+        assert version == 7
+        assert (decoded.scoring, decoded.threshold, decoded.centroid_scale) == (
+            policy.scoring,
+            policy.threshold,
+            policy.centroid_scale,
+        )
+        np.testing.assert_array_equal(decoded.centroids, policy.centroids)
+
+    def test_artifact_whose_weights_do_not_fit_is_rejected(self, d1_train_test):
+        train, _ = d1_train_test
+        classifier = tiny_classifier()
+        classifier.fit(train)
+        with np.load(io.BytesIO(classifier.to_bytes())) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        name = next(name for name in arrays if name.startswith("weight/"))
+        arrays[name] = np.zeros(arrays[name].shape + (1,))
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        with pytest.raises(ClassifierError, match="shape mismatch"):
+            DeepCsiClassifier.from_bytes(buffer.getvalue())
+        del arrays[name]
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
+        with pytest.raises(ClassifierError, match="missing="):
+            DeepCsiClassifier.from_bytes(buffer.getvalue())
+
+    def test_unreadable_artifact_is_rejected(self, tmp_path):
+        with pytest.raises(ClassifierError, match="not a readable model artifact"):
+            DeepCsiClassifier.from_bytes(b"not an npz archive")
+        with pytest.raises(ClassifierError, match="not a readable model artifact"):
+            DeepCsiClassifier.load(tmp_path / "missing")
 
     def test_untrained_classifier_refuses_to_predict(self, d1_train_test):
         _, test = d1_train_test

@@ -5,12 +5,15 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
 from repro.core.lifecycle import LifecycleError, ModelVersion
+from repro.core.model import DeepCsiModelConfig
 from repro.core.transport import (
     RECORD_FLUSH,
     RECORD_FRAME,
     RECORD_MODEL_SWAP,
     RECORD_STOP,
+    ModelSwap,
     ShmRing,
     TransportError,
     pack_control_record,
@@ -19,6 +22,9 @@ from repro.core.transport import (
     segment_exists,
     unpack_record,
 )
+from repro.datasets.features import FeatureConfig, strided_subcarriers
+from repro.datasets.splits import D1_SPLITS, d1_split
+from repro.nn.training import TrainingConfig
 
 
 @pytest.fixture()
@@ -141,93 +147,89 @@ class TestShmRing:
         assert not segment_exists(created_names[0])
 
 
+@pytest.fixture(scope="module")
+def swap_classifier(tiny_d1):
+    """A tiny CNN trained for one epoch: a real model artifact to ship."""
+    train, _ = d1_split(tiny_d1, D1_SPLITS["S1"], beamformee_id=1)
+    classifier = DeepCsiClassifier(
+        ClassifierConfig(
+            num_classes=3,
+            feature=FeatureConfig(
+                stream_indices=(0,), subcarrier_positions=strided_subcarriers(234, 16)
+            ),
+            model=DeepCsiModelConfig(
+                num_filters=4,
+                kernel_widths=(3,),
+                pool_width=2,
+                dense_units=(8,),
+                dropout_retain=(1.0,),
+                use_attention=False,
+            ),
+            training=TrainingConfig(
+                epochs=1, batch_size=16, validation_split=0.0, early_stopping_patience=None
+            ),
+        )
+    )
+    classifier.fit(train)
+    return classifier
+
+
 class TestModelSwapCodec:
     """RECORD_MODEL_SWAP mirrors the codeword-record codec guarantees."""
 
-    @staticmethod
-    def _version(version=3, threshold=0.75, size=4):
-        rng = np.random.default_rng(11)
-        return ModelVersion(
-            version=version,
-            weights={
-                "00_conv/weight": rng.standard_normal((size, size)),
-                "00_conv/bias": rng.standard_normal(size),
-            },
-            open_set_threshold=threshold,
-        )
-
-    def test_swap_record_roundtrip_preserves_bits(self):
-        original = self._version()
-        encoded = pack_model_swap_record(
-            9, original.version, original.to_bytes(), original.open_set_threshold
-        )
-        record = unpack_record(encoded)
+    def test_swap_record_roundtrip_preserves_bits(self, swap_classifier):
+        blob = swap_classifier.to_bytes(version=3)
+        record = unpack_record(pack_model_swap_record(9, 3, blob))
         assert record.kind == RECORD_MODEL_SWAP
         assert record.sequence == 9
-        assert record.swap.version == 3
-        assert record.swap.open_set_threshold == pytest.approx(0.75)
-        decoded = ModelVersion.from_bytes(
-            record.swap.blob, expected_version=record.swap.version
-        )
-        assert decoded.version == original.version
-        assert set(decoded.weights) == set(original.weights)
-        for name, value in original.weights.items():
-            np.testing.assert_array_equal(decoded.weights[name], value)
-
-    def test_swap_record_without_threshold(self):
-        original = self._version(threshold=None)
-        record = unpack_record(
-            pack_model_swap_record(0, original.version, original.to_bytes())
-        )
-        assert record.swap.open_set_threshold is None
+        # The subheader is the version and the blob length, nothing more.
+        assert record.swap == ModelSwap(version=3, blob=blob)
+        decoded, open_set = ModelVersion(record.swap.version, record.swap.blob).decode()
+        assert open_set is None
+        assert decoded.config == swap_classifier.config
 
     def test_version_field_bounds(self):
-        blob = self._version().to_bytes()
         for bad_version in (0, -1, 2**32):
             with pytest.raises(TransportError, match="swap record subheader"):
-                pack_model_swap_record(0, bad_version, blob)
+                pack_model_swap_record(0, bad_version, b"blob")
 
     def test_truncated_subheader_rejected(self):
-        encoded = pack_model_swap_record(1, 2, self._version(version=2).to_bytes())
+        blob = bytes(64)
+        encoded = pack_model_swap_record(1, 2, blob)
         with pytest.raises(TransportError, match="truncated model-swap"):
-            unpack_record(encoded[: len(encoded) - len(self._version().to_bytes()) - 4])
+            unpack_record(encoded[: len(encoded) - len(blob) - 4])
 
     def test_truncated_blob_rejected(self):
-        encoded = pack_model_swap_record(1, 3, self._version().to_bytes())
+        encoded = pack_model_swap_record(1, 3, bytes(64))
         with pytest.raises(TransportError, match="blob has"):
             unpack_record(encoded[:-7])
 
-    def test_announced_version_mismatch_detected(self):
+    def test_announced_version_mismatch_detected(self, swap_classifier):
         """The transport ships the blob verbatim; the lifecycle decoder must
-        catch a payload whose embedded version disagrees with the record."""
+        catch a payload whose stamped version disagrees with the record."""
         swap = unpack_record(
-            pack_model_swap_record(0, 5, self._version(version=4).to_bytes())
+            pack_model_swap_record(0, 5, swap_classifier.to_bytes(version=4))
         ).swap
         with pytest.raises(LifecycleError, match="mismatch"):
-            ModelVersion.from_bytes(swap.blob, expected_version=swap.version)
+            ModelVersion(swap.version, swap.blob).decode()
 
-    def test_corrupt_blob_rejected(self):
-        blob = self._version().to_bytes()
+    def test_corrupt_blob_rejected(self, swap_classifier):
+        blob = swap_classifier.to_bytes(version=3)
         with pytest.raises(LifecycleError, match="truncated or corrupt"):
-            ModelVersion.from_bytes(blob[: len(blob) // 2])
+            ModelVersion(3, blob[: len(blob) // 2]).decode()
 
-    def test_oversized_swap_spans_multiple_ring_slots(self, context):
-        """A multi-KB weight snapshot must survive a tiny-slot ring bit for
-        bit, exactly like the oversized V~ records."""
-        ring = ShmRing(context, num_slots=256, slot_bytes=128)
-        original = self._version(version=6, size=32)
-        encoded = pack_model_swap_record(
-            6, original.version, original.to_bytes(), original.open_set_threshold
-        )
+    def test_oversized_swap_spans_multiple_ring_slots(self, context, swap_classifier):
+        """A model artifact must survive a tiny-slot ring bit for bit, like
+        any other multi-slot record."""
+        blob = swap_classifier.to_bytes(version=6)
+        encoded = pack_model_swap_record(6, 6, blob)
+        ring = ShmRing(context, num_slots=len(encoded) // 128 + 2, slot_bytes=128)
         try:
             assert ring.slots_needed(len(encoded)) > 1
             ring.put(encoded)
             record = ring.get()
             assert record.kind == RECORD_MODEL_SWAP
-            decoded = ModelVersion.from_bytes(
-                record.swap.blob, expected_version=record.swap.version
-            )
-            for name, value in original.weights.items():
-                np.testing.assert_array_equal(decoded.weights[name], value)
+            assert record.swap.blob == blob
+            ModelVersion(record.swap.version, record.swap.blob).decode()
         finally:
             ring.unlink()

@@ -5,12 +5,21 @@ doctest fails the tier-1 suite locally too.
 """
 
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+from repro.cli import build_parser
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOC_FILES = ("docs/ARCHITECTURE.md", "docs/EXPERIMENTS.md", "README.md")
+
+#: Documents whose fenced ``python -m repro.cli`` lines must parse.
+CLI_DOC_GLOBS = ("README.md", "docs/*.md", ".claude/skills/verify/SKILL.md")
+
+_FENCE = re.compile(r"^```.*?$(.*?)^```", re.MULTILINE | re.DOTALL)
 
 
 def _run(command):
@@ -50,3 +59,30 @@ def test_architecture_documents_every_package():
     )
     missing = [name for name in packages if f"repro.{name}" not in text]
     assert not missing, f"docs/ARCHITECTURE.md does not mention: {missing}"
+
+
+def _documented_cli_commands():
+    """``(document, arguments)`` of every fenced ``python -m repro.cli`` line."""
+    for pattern in CLI_DOC_GLOBS:
+        for path in sorted(REPO_ROOT.glob(pattern)):
+            for block in _FENCE.findall(path.read_text()):
+                for line in block.replace("\\\n", " ").splitlines():
+                    _, found, command = line.partition("python -m repro.cli")
+                    if found:
+                        words = shlex.split(command, comments=True)
+                        for stop in ("&&", "||", "|", ";"):
+                            if stop in words:
+                                words = words[: words.index(stop)]
+                        yield path.relative_to(REPO_ROOT), words
+
+
+def test_documented_cli_commands_parse():
+    """A flag removed from the CLI must not linger in a documented command."""
+    parser = build_parser()
+    commands = list(_documented_cli_commands())
+    assert commands
+    for document, words in commands:
+        try:
+            parser.parse_args(words)
+        except SystemExit:
+            raise AssertionError(f"{document}: `repro.cli {' '.join(words)}` does not parse")

@@ -1,6 +1,7 @@
 """Tests for the fp32 inference compute backend."""
 
 import copy
+import io
 import json
 import pickle
 
@@ -360,7 +361,7 @@ class TestClassifierCompute:
         reference = classifier.predict_logits(test)
         classifier.save(tmp_path / "model")
 
-        restored = DeepCsiClassifier(classifier.config).load(tmp_path / "model")
+        restored = DeepCsiClassifier.load(tmp_path / "model")
         assert restored.compute_name == "fp32"
         np.testing.assert_array_equal(restored.predict_logits(test), reference)
 
@@ -369,9 +370,7 @@ class TestClassifierCompute:
     ):
         _, test = split_samples
         directory = trained_classifier.save(tmp_path / "model")
-        metadata = json.loads((directory / "metadata.json").read_text())
-        assert metadata["compute"] == "fp64"
-        restored = DeepCsiClassifier(trained_classifier.config).load(directory)
+        restored = DeepCsiClassifier.load(directory)
         assert restored.compute is None
         np.testing.assert_array_equal(
             restored.predict_logits(test), trained_classifier.predict_logits(test)
@@ -380,25 +379,22 @@ class TestClassifierCompute:
     def test_model_version_carries_the_compute_name(self, trained_classifier):
         source = copy.deepcopy(trained_classifier)
         source.set_compute("fp32")
-        blob = ModelVersion.from_classifier(source, version=1).to_bytes()
-        version = ModelVersion.from_bytes(blob, expected_version=1)
-        assert version.compute == "fp32"
-        target = copy.deepcopy(trained_classifier)
-        version.apply(target)
-        assert target.compute_name == "fp32"
-        ModelVersion.from_classifier(trained_classifier, version=2).apply(target)
-        assert target.compute is None
+        decoded, _ = ModelVersion.from_classifier(source, version=1).decode()
+        assert decoded.compute_name == "fp32"
+        decoded, _ = ModelVersion.from_classifier(trained_classifier, version=2).decode()
+        assert decoded.compute is None
 
-    def test_load_refuses_a_removed_compute_backend(
-        self, trained_classifier, tmp_path
-    ):
-        # What an int8 save used to write: the backend name in the metadata.
-        directory = copy.deepcopy(trained_classifier).save(tmp_path / "model")
-        metadata = json.loads((directory / "metadata.json").read_text())
-        metadata["compute"] = "int8"
-        (directory / "metadata.json").write_text(json.dumps(metadata))
+    def test_load_refuses_a_removed_compute_backend(self, trained_classifier):
+        # What an int8 save used to record: the backend name in the metadata.
+        with np.load(io.BytesIO(trained_classifier.to_bytes())) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        meta = json.loads(arrays["__meta__"].tobytes())
+        meta["compute"] = "int8"
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        buffer = io.BytesIO()
+        np.savez(buffer, **arrays)
         with pytest.raises(ClassifierError, match="'int8'"):
-            DeepCsiClassifier(trained_classifier.config).load(directory)
+            DeepCsiClassifier.from_bytes(buffer.getvalue())
 
 
 def _drain_engine(classifier, samples, **kwargs):

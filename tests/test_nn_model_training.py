@@ -1,13 +1,11 @@
-"""Tests for the Sequential container, the training loop and serialisation."""
+"""Tests for the Sequential container and the training loop."""
 
 import numpy as np
 import pytest
 
 from repro.nn.layers import Conv2D, Dense, Flatten, MaxPool2D, Relu, Selu
-from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import ModelError, Sequential
 from repro.nn.optimizers import Adam, SGD
-from repro.nn.serialization import load_weights, save_weights
 from repro.nn.training import History, Trainer, TrainingConfig, TrainingError
 
 
@@ -184,42 +182,3 @@ class TestTrainer:
         exported = history.as_dict()
         assert exported["train_loss"] == [1.0]
         assert np.isnan(history.best_val_accuracy)
-
-
-class TestSerialization:
-    def test_save_load_roundtrip(self, tmp_path, rng):
-        model = make_mlp(seed=8)
-        x = rng.standard_normal((4, 8))
-        expected = model.forward(x)
-        path = tmp_path / "weights.npz"
-        save_weights(model, path)
-        other = make_mlp(seed=9)
-        load_weights(other, path)
-        np.testing.assert_allclose(other.forward(x), expected)
-
-    def test_load_into_wrong_architecture_rejected(self, tmp_path):
-        model = make_mlp(seed=8)
-        path = tmp_path / "weights.npz"
-        save_weights(model, path)
-        wrong = Sequential([Dense(8, 4, rng=np.random.default_rng(0), name="hidden")])
-        with pytest.raises(ModelError):
-            load_weights(wrong, path)
-
-    def test_saving_empty_model_rejected(self, tmp_path):
-        with pytest.raises(ModelError):
-            save_weights(Sequential([Relu()]), tmp_path / "weights.npz")
-
-    def test_suffixless_path_is_saved_and_loaded_as_npz(self, tmp_path, rng):
-        model = make_mlp(seed=8)
-        written = save_weights(model, tmp_path / "nested" / "weights")
-        assert written == tmp_path / "nested" / "weights.npz"
-        assert written.exists()
-        other = make_mlp(seed=9)
-        load_weights(other, tmp_path / "nested" / "weights")
-        x = rng.standard_normal((3, 8))
-        np.testing.assert_array_equal(other.forward(x), model.forward(x))
-
-    def test_load_rejects_a_shape_mismatch_under_the_same_names(self, tmp_path):
-        path = save_weights(make_mlp(seed=8, num_classes=3), tmp_path / "weights.npz")
-        with pytest.raises(ModelError, match="shape mismatch for '02_out/weight'"):
-            load_weights(make_mlp(seed=9, num_classes=4), path)

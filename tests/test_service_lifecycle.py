@@ -11,16 +11,22 @@ suite attacks that claim on both execution backends:
 * determinism -- a same-weights swap must leave every per-frame decision
   bitwise identical to a swap-free run (frames are classified entirely by
   one version, never by a half-installed one);
-* crash during swap -- an architecture-mismatched version must surface as
-  :class:`~repro.core.service.ServiceError` on both backends (and a killed
-  worker process mid-swap must raise, not hang);
-* threshold hot-swap -- a version that bundles a new open-set threshold
-  re-calibrates rejection at the same batch boundary as the weights.
+* the whole classifier swaps -- after the barrier, results are bit-equal to
+  an engine that ran the new version alone, also when the new version has
+  other normalisation statistics, reads other sub-carriers, or brings its
+  own open-set policy;
+* failed swaps -- a corrupt version is refused with
+  :class:`~repro.core.service.ServiceError` before any shard sees it and the
+  service keeps serving (and a killed worker process mid-swap must raise,
+  not hang);
+* policy hot-swap -- a version that bundles a new open-set policy
+  re-calibrates rejection at the same batch boundary as the classifier.
 
 Set ``REPRO_SLOW_TESTS=1`` to also run the sustained multi-swap soak
 variants.
 """
 
+import copy
 import os
 from dataclasses import replace
 
@@ -28,10 +34,10 @@ import numpy as np
 import pytest
 
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
-from repro.core.engine import UNKNOWN_MODULE_ID
+from repro.core.engine import UNKNOWN_MODULE_ID, InferenceEngine
 from repro.core.lifecycle import DriftConfig, ModelVersion
 from repro.core.model import DeepCsiModelConfig
-from repro.core.openset import OpenSetAuthenticator, calibrate_threshold
+from repro.core.openset import OpenSetAuthenticator, OpenSetPolicy, calibrate_threshold
 from repro.core.service import ServiceError, StreamingService
 from repro.datasets.adversarial import impostor_scenario, interleaved_traffic
 from repro.datasets.features import FeatureConfig
@@ -44,11 +50,11 @@ BACKENDS = ("threads", "processes")
 NUM_ENROLLED = 3
 
 
-def _train_classifier(samples, seed):
+def _train_classifier(samples, seed, subcarriers=None):
     classifier = DeepCsiClassifier(
         ClassifierConfig(
             num_classes=NUM_ENROLLED,
-            feature=FeatureConfig(stream_indices=(0,)),
+            feature=FeatureConfig(stream_indices=(0,), subcarrier_positions=subcarriers),
             model=DeepCsiModelConfig(
                 num_filters=8,
                 kernel_widths=(3,),
@@ -71,16 +77,26 @@ def _train_classifier(samples, seed):
     return classifier
 
 
-@pytest.fixture(scope="module")
-def scenario():
+def _scenario(seed):
     """The impostor scenario as the service sees it: every ``V~`` is the one
     rebuilt from the codewords a beamformee sends for it, so the classifiers
     train and calibrate on the traffic they serve."""
     raw = impostor_scenario(
-        num_enrolled=NUM_ENROLLED, num_unseen=2, num_per_module=20, seed=0
+        num_enrolled=NUM_ENROLLED, num_unseen=2, num_per_module=20, seed=seed
     )
     populations = ("enrolled_train", "enrolled_test", "unseen", "spoofed")
     return replace(raw, **{name: edge_quantised(getattr(raw, name)) for name in populations})
+
+
+@pytest.fixture(scope="module")
+def scenario():
+    return _scenario(seed=0)
+
+
+@pytest.fixture(scope="module")
+def other_draw():
+    """The same scenario drawn with another seed: other training data."""
+    return _scenario(seed=1)
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +108,28 @@ def classifier_v0(scenario):
 def classifier_v1(scenario):
     """Same architecture, genuinely different weights (different init)."""
     return _train_classifier(scenario.enrolled_train, seed=1)
+
+
+@pytest.fixture(scope="module")
+def classifier_other_draw(other_draw):
+    """Same architecture, trained on another draw: other normalisation."""
+    return _train_classifier(other_draw.enrolled_train, seed=1)
+
+
+@pytest.fixture(scope="module")
+def even_and_odd(scenario):
+    """Two classifiers with the same layer shapes that read the even and the
+    odd sub-carriers of the K = 12 scenario."""
+    even, odd = (
+        _train_classifier(
+            scenario.enrolled_train, seed=seed, subcarriers=tuple(range(seed, 12, 2))
+        )
+        for seed in (0, 1)
+    )
+    assert [p.shape for _, p, _ in even.model.parameters()] == [
+        p.shape for _, p, _ in odd.model.parameters()
+    ]
+    return even, odd
 
 
 @pytest.fixture(scope="module")
@@ -110,11 +148,11 @@ def _serve_with_swaps(classifier, feed, backend, swaps=(), **service_kwargs):
 
     ``swaps`` is a list of ``(frame_index, replacement)`` pairs; each swap
     fires right after that many frames have been submitted.  A
-    ``swap_threshold`` keyword is forwarded to every swap as its bundled
-    open-set threshold.  Returns the results (submission order), the final
+    ``swap_open_set`` keyword is forwarded to every swap as its bundled
+    open-set policy.  Returns the results (submission order), the final
     stats and the per-source verdicts.
     """
-    swap_threshold = service_kwargs.pop("swap_threshold", None)
+    swap_open_set = service_kwargs.pop("swap_open_set", None)
     pending = sorted(swaps, key=lambda entry: entry[0])
     results = []
     with StreamingService(
@@ -128,9 +166,7 @@ def _serve_with_swaps(classifier, feed, backend, swaps=(), **service_kwargs):
             service.submit(observation, source=source)
             results.extend(service.collect())
             while pending and pending[0][0] == submitted:
-                service.swap_model(
-                    pending.pop(0)[1], open_set_threshold=swap_threshold
-                )
+                service.swap_model(pending.pop(0)[1], open_set=swap_open_set)
         service.flush()
         results.extend(service.collect())
         stats = service.stats
@@ -214,28 +250,139 @@ class TestSwapUnderLoad:
             assert stamped == sorted(stamped)
 
 
+def _alone(classifier, feed, open_set=None):
+    """Results of an engine that ran ``classifier`` alone over ``feed``."""
+    engine = InferenceEngine(classifier, batch_size=8, open_set=open_set)
+    results = []
+    for source, observation in feed:
+        results.extend(engine.submit(observation, source=source))
+    return results + engine.flush()
+
+
+def _assert_swapped_results_bit_equal(results, expected):
+    """Every result of version 1 is bit-equal to the v1-only engine's."""
+    swapped = [result for result in results if result.model_version == 1]
+    assert swapped
+    for result in swapped:
+        reference = expected[result.sequence]
+        assert (
+            result.predicted_module_id,
+            result.confidence,
+            result.score,
+            result.accepted,
+        ) == (
+            reference.predicted_module_id,
+            reference.confidence,
+            reference.score,
+            reference.accepted,
+        )
+
+
+class TestWholeClassifierSwap:
+    """A swap installs the whole classifier, not only its weights."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_other_normalisation_serves_like_a_v1_only_engine(
+        self, classifier_v0, classifier_other_draw, feed, backend
+    ):
+        v1 = classifier_other_draw
+        assert not np.array_equal(v1._normalization[0], classifier_v0._normalization[0])
+        results, stats, _ = _serve_with_swaps(
+            classifier_v0, feed, backend, swaps=[(len(feed) // 2, v1)]
+        )
+        assert stats.model_version == 1
+        _assert_swapped_results_bit_equal(results, _alone(v1, feed))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_other_subcarriers_serve_like_a_v1_only_engine(
+        self, even_and_odd, feed, backend
+    ):
+        """Same layer shapes, other sub-carrier positions: the new feature
+        selection comes with the swap instead of feeding v1 v0's inputs."""
+        even, odd = even_and_odd
+        results, _, _ = _serve_with_swaps(even, feed, backend, swaps=[(len(feed) // 2, odd)])
+        _assert_swapped_results_bit_equal(results, _alone(odd, feed))
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_centroid_policy_swaps_with_the_classifier(
+        self, scenario, other_draw, classifier_v0, classifier_other_draw, feed, backend
+    ):
+        """A centroid_distance service swapped to v1 with v1's enrolled policy
+        scores every later frame against v1's centroids, not v0's."""
+
+        def enrolled_policy(classifier, samples):
+            authenticator = OpenSetAuthenticator(classifier, scoring="centroid_distance")
+            authenticator.enroll(samples)
+            calibrate_threshold(authenticator, samples, target_false_reject_rate=0.05)
+            return authenticator.policy()
+
+        v1_policy = enrolled_policy(classifier_other_draw, other_draw.enrolled_train)
+        results, stats, _ = _serve_with_swaps(
+            classifier_v0,
+            feed,
+            backend,
+            swaps=[(len(feed) // 2, classifier_other_draw)],
+            open_set=enrolled_policy(classifier_v0, scenario.enrolled_train),
+            swap_open_set=v1_policy,
+        )
+        assert stats.open_set
+        _assert_swapped_results_bit_equal(
+            results, _alone(classifier_other_draw, feed, open_set=v1_policy)
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stats_report_the_swapped_in_compute(self, classifier_v0, feed, backend):
+        """A service built with fp32 and swapped to an fp64 classifier reports
+        fp64, service-wide and per shard."""
+        with StreamingService(
+            copy.deepcopy(classifier_v0),
+            num_workers=2,
+            batch_size=8,
+            backend=backend,
+            compute="fp32",
+        ) as service:
+            assert service.stats.compute == "fp32"
+            service.drain([observation for _, observation in feed[:8]])
+            service.swap_model(classifier_v0)
+            stats = service.stats
+        assert stats.compute == "fp64"
+        assert [worker.compute for worker in stats.worker_stats] == ["fp64", "fp64"]
+
+
 class TestSwapFailures:
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_architecture_mismatch_raises_service_error(
+    def test_corrupt_version_is_refused_and_the_service_keeps_serving(
         self, classifier_v0, feed, backend
     ):
-        """A version that does not fit the running model must fail the swap
-        loudly on every backend -- never hang, never half-install."""
-        bogus = ModelVersion(
-            version=1,
-            weights={"99_dense/weight": np.zeros((4, 4), dtype=np.float64)},
+        """A version that does not decode must fail the swap loudly on every
+        backend before any shard sees it -- never hang, never half-install --
+        and the service keeps serving the old model."""
+        good = ModelVersion.from_classifier(classifier_v0, version=1)
+        corrupt = (
+            ModelVersion(version=1, blob=good.blob[: len(good.blob) // 2]),
+            ModelVersion(version=1, blob=classifier_v0.to_bytes(version=2)),
         )
         with StreamingService(
             classifier_v0, num_workers=2, batch_size=8, backend=backend
         ) as service:
             for source, observation in feed[:8]:
                 service.submit(observation, source=source)
-            with pytest.raises(ServiceError, match="model swap failed"):
-                service.swap_model(bogus)
-            # The failed shard poisons the service rather than serving a
-            # half-installed model.
-            with pytest.raises(ServiceError):
-                service.submit(feed[0][1], source="after-failure")
+            for version in corrupt:
+                with pytest.raises(ServiceError, match="model swap failed"):
+                    service.swap_model(version)
+            for source, observation in feed[8:16]:
+                service.submit(observation, source=source)
+            service.flush()
+            results = service.collect()
+            assert service.model_version == 0
+        assert sorted(result.sequence for result in results) == list(range(16))
+        assert all(result.model_version == 0 for result in results)
+
+    def test_version_with_its_own_policy_refuses_a_second_one(self, classifier_v0):
+        version = ModelVersion.from_classifier(classifier_v0, version=1)
+        with StreamingService(classifier_v0, num_workers=1, batch_size=8) as service:
+            with pytest.raises(ServiceError, match="carries its own open-set policy"):
+                service.swap_model(version, open_set=OpenSetPolicy(threshold=0.9))
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_non_monotonic_version_rejected(self, classifier_v0, feed, backend):
@@ -271,8 +418,9 @@ class TestThresholdHotSwap:
     def test_swapped_threshold_applies_at_the_swap_boundary(
         self, scenario, classifier_v0, feed, backend
     ):
-        """A version bundling threshold > 1 must reject every max-softmax
-        score after the swap -- proving the policy swaps with the weights."""
+        """A version bundling a policy with threshold > 1 must reject every
+        max-softmax score after the swap -- proving the policy swaps with the
+        classifier."""
         authenticator = OpenSetAuthenticator(classifier_v0, scoring="max_softmax")
         calibrate_threshold(
             authenticator, scenario.enrolled_train, target_false_reject_rate=0.05
@@ -285,7 +433,7 @@ class TestThresholdHotSwap:
             swaps=[(swap_at, classifier_v0)],
             open_set=authenticator,
             drift=DriftConfig(),
-            swap_threshold=1.5,
+            swap_open_set=OpenSetPolicy(scoring="max_softmax", threshold=1.5),
         )
         assert stats.open_set
         assert stats.model_version == 1
