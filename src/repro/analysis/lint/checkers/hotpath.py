@@ -3,7 +3,7 @@
 Functions decorated with :func:`repro.analysis.annotations.hot_path` are the
 steady-state streaming hot path: after warm-up they must not allocate fresh
 batch-sized buffers per call.  The fp32 compute backend earns its >=2x
-speedup largely from grow-only arenas (:class:`repro.nn.compute.ArenaPool`)
+speedup largely from grow-only arenas (:class:`repro.arena.ArenaPool`)
 and the engine's staging buffers; this checker keeps per-call allocations
 from creeping back in:
 

@@ -27,10 +27,12 @@ class ArenaPool:
     """Grow-only, per-shape scratch buffers reused across inference batches.
 
     Buffers are keyed by ``(key, trailing_shape)`` where ``key`` identifies
-    the consumer (layer index + role) and the *leading* dimension is the
-    batch: a request with a smaller batch returns a view of the existing
-    buffer, a larger batch regrows it.  After the first batch of the largest
-    size, steady-state inference therefore performs no large allocations.
+    the consumer (layer index + role) and the *leading* dimension scales
+    with the batch (samples or GEMM rows; at most one GEMM block of samples
+    for the fp32 backend's im2col gather): a smaller request returns a view
+    of the existing buffer, a larger one regrows it.  After the first batch
+    of the largest size, steady-state inference therefore performs no large
+    allocations.
 
     ``allocations`` counts buffer (re)allocations so tests and benchmarks
     can assert the steady state really is allocation-free.

@@ -527,6 +527,8 @@ class ProcessBackend:
         observation: Observation,
         source: str,
     ) -> None:
+        # No drain here: the service's failure check before every submit
+        # (raise_if_failed) already polled the result queue for this call.
         record = self._encode(sequence, observation, source)
         shard = self.shards[shard_index]
         with shard.lock:
@@ -535,9 +537,6 @@ class ProcessBackend:
                 on_wait=self._count_backpressure,
                 liveness=lambda: self._check_worker_alive(shard),
             )
-        # Opportunistically drain finished results so the return queue never
-        # accumulates a whole run's worth of messages.
-        self._drain(block=False)
 
     def _encode(self, sequence: int, observation: Observation, source: str) -> bytes:
         if isinstance(observation, FeedbackFrame):
@@ -627,7 +626,8 @@ class ProcessBackend:
         self.raise_if_failed()
 
     def poll(self) -> List[EngineResult]:
-        self._drain(block=False)
+        # The service's failure check before every collect (raise_if_failed)
+        # already polled the result queue for this call.
         results: List[EngineResult] = []
         while True:
             try:
@@ -743,6 +743,13 @@ class ProcessBackend:
         return waits
 
     def raise_if_failed(self) -> None:
+        """Poll the result queue once, then raise if a worker has failed.
+
+        The service calls this first in every ``submit``, ``flush`` and
+        ``collect``, so it is also the one opportunistic drain of those
+        calls: the queue never holds a whole run's results, and a failed
+        worker's error message surfaces at the next call.
+        """
         self._drain(block=False)
         if self._failure is not None:
             raise WorkerFailure(self._failure)

@@ -420,11 +420,13 @@ def read_model(
             f"the model artifact names the unsupported compute backend "
             f"{compute!r}; expected 'fp64' or one of {COMPUTE_NAMES}"
         )
+    # Every parameter is overwritten below, so nothing is drawn for it.
     model = build_deepcsi_model(
         input_shape,
         config.num_classes,
         config=config.model,
         rng=np.random.default_rng(config.seed),
+        initializer="zeros",
     )
     expected = {name: param for name, param, _ in model.parameters()}
     stored = {

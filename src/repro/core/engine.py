@@ -37,11 +37,18 @@ streaming one:
 * throughput counters (:class:`EngineStats`) expose frames/sec, rejections
   and a score histogram for the benchmarks and the CLI.
 
-Every consumer of per-frame classification (the authentication pipeline,
-the CLI, the throughput benchmark) routes through this engine.  The engine
-itself is single-threaded; :class:`repro.core.service.StreamingService`
-scales it out to a sharded multi-worker pool with asynchronous ingestion
-while preserving the per-source semantics defined here.
+Batched classification routes through this engine: the authentication
+pipeline's ``authenticate_batch``/``authenticate_capture``, the CLI's
+``authenticate`` and ``serve``, and the throughput benchmarks.  The
+pipeline's single-observation
+:meth:`~repro.core.pipeline.AuthenticationPipeline.authenticate` does not:
+it parses, dequantises, rebuilds the full ``V~``
+(:func:`~repro.feedback.givens.reconstruct_v_matrix`) and calls
+:meth:`~repro.core.classifier.DeepCsiClassifier.predict_matrix` directly.
+The engine itself is single-threaded;
+:class:`repro.core.service.StreamingService` scales it out to a sharded
+multi-worker pool with asynchronous ingestion while preserving the
+per-source semantics defined here.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ quoted by the paper up to the accounting of the attention-convolution bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -171,6 +171,7 @@ def build_deepcsi_model(
     num_classes: int,
     config: Optional[DeepCsiModelConfig] = None,
     rng: Optional[np.random.Generator] = None,
+    initializer: str = "lecun_normal",
 ) -> Sequential:
     """Build the DeepCSI classifier for the given input shape.
 
@@ -185,6 +186,10 @@ def build_deepcsi_model(
         Architecture hyper-parameters; defaults to the paper configuration.
     rng:
         Random generator for weight initialisation (reproducibility).
+    initializer:
+        Initialiser of every convolution and dense kernel
+        (:mod:`repro.nn.initializers`).  ``"zeros"`` draws nothing, for
+        models whose weights are overwritten right away.
 
     Returns
     -------
@@ -219,6 +224,7 @@ def build_deepcsi_model(
                 out_channels=config.num_filters,
                 kernel_size=(1, kernel_width),
                 padding="same",
+                initializer=initializer,
                 rng=rng,
                 name=f"conv{index + 1}",
             )
@@ -231,7 +237,10 @@ def build_deepcsi_model(
     if config.use_attention:
         model.add(
             SpatialAttention(
-                kernel_size=(1, config.attention_kernel_width), rng=rng, name="attention"
+                kernel_size=(1, config.attention_kernel_width),
+                initializer=initializer,
+                rng=rng,
+                name="attention",
             )
         )
     model.add(Flatten())
@@ -240,13 +249,17 @@ def build_deepcsi_model(
     for index, (units, retain) in enumerate(
         zip(config.dense_units, config.dropout_retain)
     ):
-        model.add(Dense(in_features, units, rng=rng, name=f"dense{index + 1}"))
+        model.add(
+            Dense(in_features, units, initializer=initializer, rng=rng, name=f"dense{index + 1}")
+        )
         model.add(Selu())
         model.add(
             AlphaDropout(retain, rng=rng, name=f"alpha_dropout{index + 1}")
         )
         in_features = units
-    model.add(Dense(in_features, num_classes, rng=rng, name="classifier"))
+    model.add(
+        Dense(in_features, num_classes, initializer=initializer, rng=rng, name="classifier")
+    )
     return model
 
 
@@ -255,8 +268,6 @@ def count_parameters(
     num_classes: int,
     config: Optional[DeepCsiModelConfig] = None,
 ) -> int:
-    """Number of trainable parameters of the architecture (without building RNG state)."""
-    model = build_deepcsi_model(
-        input_shape, num_classes, config=config, rng=np.random.default_rng(0)
-    )
+    """Number of trainable parameters of the architecture (no weights are drawn)."""
+    model = build_deepcsi_model(input_shape, num_classes, config=config, initializer="zeros")
     return model.num_parameters

@@ -33,6 +33,8 @@ class SpatialAttention(Layer):
         Kernel of the internal convolution that turns the concatenated
         max/mean maps into attention logits.  DeepCSI operates on
         ``1 x Ncol`` feature maps, so a ``(1, 7)`` kernel is the default.
+    initializer:
+        Initialiser of the convolution kernel (:mod:`repro.nn.initializers`).
     rng:
         Random generator for weight initialisation.
     """
@@ -40,6 +42,7 @@ class SpatialAttention(Layer):
     def __init__(
         self,
         kernel_size: Tuple[int, int] = (1, 7),
+        initializer: str = "lecun_normal",
         rng: Optional[np.random.Generator] = None,
         name: str = "spatial_attention",
     ) -> None:
@@ -49,6 +52,7 @@ class SpatialAttention(Layer):
             out_channels=1,
             kernel_size=kernel_size,
             padding="same",
+            initializer=initializer,
             rng=rng,
             name=f"{name}_conv",
         )

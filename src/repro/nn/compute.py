@@ -31,6 +31,7 @@ from repro.analysis.annotations import hot_path
 from repro.arena import ArenaPool
 from repro.nn.attention import SpatialAttention
 from repro.nn.layers import (
+    GEMM_SAMPLES,
     AlphaDropout,
     Conv2D,
     Dense,
@@ -51,10 +52,6 @@ COMPUTE_NAMES: Tuple[str, ...] = ("fp32",)
 
 class ComputeError(ValueError):
     """Raised for invalid compute-backend configurations or usage."""
-
-
-# ``ArenaPool`` started life here and was promoted to :mod:`repro.arena` so
-# the pre-NN preprocessing stages can share it; re-exported for back-compat.
 
 
 # --------------------------------------------------------------------------- #
@@ -276,16 +273,27 @@ class Fp32ArenaBackend:
         out_w = padded.shape[2] - kw + 1
         windows = np.lib.stride_tricks.sliding_window_view(
             padded, (kh, kw), axis=(1, 2)
-        )  # (batch, out_h, out_w, c, kh, kw) -- a view, no copy
+        ).transpose(0, 1, 2, 4, 5, 3)  # (batch, out_h, out_w, kh, kw, c) -- a view
+        # im2col one GEMM block at a time: the gather buffer holds at most
+        # GEMM_SAMPLES samples, and each block's GEMM fills its rows of the
+        # batch-sized output.
         col = self._arena.get(
-            key + ("col",), (batch, out_h, out_w, kh, kw, channels), dtype=self.dtype
+            key + ("col",),
+            (min(batch, GEMM_SAMPLES), out_h, out_w, kh, kw, channels),
+            dtype=self.dtype,
         )
-        np.copyto(col, windows.transpose(0, 1, 2, 4, 5, 3))
-        rows = batch * out_h * out_w
-        accumulator = self._arena.get(key + ("mm",), (rows, state.out_channels), dtype=self.dtype)
-        np.matmul(
-            col.reshape(rows, kh * kw * channels), state.weight2d, out=accumulator
+        positions = out_h * out_w
+        accumulator = self._arena.get(
+            key + ("mm",), (batch * positions, state.out_channels), dtype=self.dtype
         )
+        for start in range(0, batch, GEMM_SAMPLES):
+            count = min(GEMM_SAMPLES, batch - start)
+            np.copyto(col[:count], windows[start : start + count])
+            np.matmul(
+                col[:count].reshape(count * positions, kh * kw * channels),
+                state.weight2d,
+                out=accumulator[start * positions : (start + count) * positions],
+            )
         accumulator += state.bias
         # The GEMM output already is the NHWC activation: no transpose copy.
         return accumulator.reshape(batch, out_h, out_w, state.out_channels)
@@ -354,7 +362,6 @@ class Fp32ArenaBackend:
 
 __all__ = [
     "COMPUTE_NAMES",
-    "ArenaPool",
     "ComputeError",
     "Fp32ArenaBackend",
     "fused_selu",

@@ -56,13 +56,15 @@ def batch_invariant_matmul(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
     """``rows @ weight`` for ``(batch, R, K)`` rows, each sample's bits batch-free.
 
     The batch is zero-padded to a multiple of :data:`GEMM_SAMPLES` and
-    multiplied as a stack of ``(GEMM_SAMPLES * R, K) @ (K, N)`` GEMMs.  Every
-    BLAS call then has the same shape, and a BLAS kernel computes the rows of
-    one GEMM alike, so a sample's ``(R, N)`` outputs carry the same bits
-    whichever batch, and wherever in it, the sample arrives
-    (``tests/test_core_model.py`` pins this for the DeepCSI models).
-    Inference forwards of :class:`Dense` and :class:`Conv2D` go through here;
-    training keeps one GEMM per batch.
+    multiplied as a stack of ``(GEMM_SAMPLES * R, K) @ (K, N)`` GEMMs, one
+    per *GEMM block* of :data:`GEMM_SAMPLES` samples.  Every BLAS call then
+    has the same shape, and a BLAS kernel computes the rows of one GEMM
+    alike, so a sample's ``(R, N)`` outputs carry the same bits whichever
+    batch, and wherever in it, the sample arrives
+    (``tests/test_core_model.py`` pins this for the DeepCSI models).  The
+    inference forward of :class:`Dense` goes through here; :class:`Conv2D`
+    runs the same GEMMs one block at a time, so its im2col scratch holds one
+    block instead of the batch.  Training keeps one GEMM per batch.
     """
     batch, per_sample, depth = rows.shape
     chunks = -(-batch // GEMM_SAMPLES)
@@ -237,24 +239,61 @@ class Conv2D(Layer):
                 f"kernel {self.kernel_size}"
             )
         self._input_shape = x.shape
+        if not training:
+            self._padded_input = None
+            return self._infer(x)
         padded = self._pad(x)
-        self._padded_input = padded if training else None
+        self._padded_input = padded
         # im2col: gather every (kh, kw) window as a view, then contract the
         # (channel, kh, kw) axes against the kernel in BLAS matmuls.
         windows = np.lib.stride_tricks.sliding_window_view(
             padded, (kh, kw), axis=(2, 3)
         )  # (batch, c, out_h, out_w, kh, kw)
-        if training:
-            out = np.tensordot(windows, self.weight, axes=([1, 4, 5], [1, 2, 3]))
-        else:
-            # The (batch, positions, taps) copy is a temporary: it is freed
-            # before the output copy below is allocated.
-            batch, _, out_h, out_w = windows.shape[:4]
-            out = batch_invariant_matmul(
-                windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h * out_w, -1),
-                self.weight.reshape(self.weight.shape[0], -1).T,
-            ).reshape(batch, out_h, out_w, -1)
+        out = np.tensordot(windows, self.weight, axes=([1, 4, 5], [1, 2, 3]))
         out = np.ascontiguousarray(np.moveaxis(out, 3, 1))  # (batch, cout, out_h, out_w)
+        out += self.bias[np.newaxis, :, np.newaxis, np.newaxis]
+        return out
+
+    def _infer(self, x: np.ndarray) -> np.ndarray:
+        """Inference: pad, gather and multiply one GEMM block at a time.
+
+        Each block of :data:`GEMM_SAMPLES` samples is padded into one reused
+        buffer, gathered into a ``(GEMM_SAMPLES * positions, c * kh * kw)``
+        im2col matrix in ``(c, kh, kw)`` column order and multiplied as the
+        GEMM :func:`batch_invariant_matmul` would run for it, so a sample's
+        bits stay batch-free.  The scratch holds one block, not the batch,
+        and only a partial last block is zero-padded.
+        """
+        batch, channels, height, width = x.shape
+        kh, kw = self.kernel_size
+        top, bottom, left, right = (
+            _pad_same(height, width, self.kernel_size)
+            if self.padding == "same"
+            else (0, 0, 0, 0)
+        )
+        dtype = np.result_type(x, self.weight)
+        block = np.zeros(
+            (GEMM_SAMPLES, channels, height + top + bottom, width + left + right),
+            dtype=dtype,
+        )
+        interior = block[:, :, top : top + height, left : left + width]
+        windows = np.lib.stride_tricks.sliding_window_view(
+            block, (kh, kw), axis=(2, 3)
+        ).transpose(0, 2, 3, 1, 4, 5)  # (GEMM_SAMPLES, out_h, out_w, c, kh, kw)
+        col = np.empty(windows.shape, dtype=dtype)
+        rows = col.reshape(-1, channels * kh * kw)
+        weight = self.weight.reshape(self.weight.shape[0], -1).T
+        out_h, out_w, cout = col.shape[1], col.shape[2], weight.shape[1]
+        product = np.empty((GEMM_SAMPLES, out_h, out_w, cout), dtype=dtype)
+        product_rows = product.reshape(rows.shape[0], cout)
+        out = np.empty((batch, cout, out_h, out_w), dtype=dtype)
+        for start in range(0, batch, GEMM_SAMPLES):
+            count = min(GEMM_SAMPLES, batch - start)
+            interior[:count] = x[start : start + count]
+            interior[count:] = 0.0
+            np.copyto(col, windows)
+            np.matmul(rows, weight, out=product_rows)
+            out[start : start + count] = product[:count].transpose(0, 3, 1, 2)
         out += self.bias[np.newaxis, :, np.newaxis, np.newaxis]
         return out
 

@@ -1,5 +1,7 @@
 """Tests for the sharded multi-worker streaming service."""
 
+import time
+
 import pytest
 
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
@@ -392,6 +394,42 @@ class TestProcessBackend:
                 service.flush()
         finally:
             service.close()
+
+    def test_submit_and_collect_poll_the_result_queue_once(
+        self, trained_classifier, test_codewords, monkeypatch
+    ):
+        with StreamingService(
+            trained_classifier, num_workers=1, batch_size=4, backend="processes"
+        ) as service:
+            backend = service._backend
+            drains = []
+            drain = backend._drain
+
+            def counted(block):
+                drains.append(block)
+                return drain(block)
+
+            monkeypatch.setattr(backend, "_drain", counted)
+            service.submit(test_codewords[0], source="alice")
+            assert drains == [False]
+            service.collect()
+            assert drains == [False, False]
+
+    def test_worker_error_surfaces_at_the_next_collect_and_submit(
+        self, trained_classifier, test_codewords
+    ):
+        with StreamingService(
+            trained_classifier, num_workers=1, batch_size=4, backend="processes"
+        ) as service:
+            # The message a shard worker sends when its engine raises.
+            service._backend._results_queue.put(("error", 0, "ValueError: injected"))
+            deadline = time.monotonic() + 10.0
+            with pytest.raises(ServiceError, match="injected"):
+                while time.monotonic() < deadline:
+                    service.collect()
+                    time.sleep(0.01)
+            with pytest.raises(ServiceError, match="injected"):
+                service.submit(test_codewords[0], source="alice")
 
     def test_close_unlinks_every_shm_segment(self, trained_classifier, test_codewords):
         from repro.core.transport import segment_exists

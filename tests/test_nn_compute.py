@@ -8,6 +8,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.arena import ArenaPool
 from repro.core.classifier import ClassifierConfig, ClassifierError, DeepCsiClassifier
 from repro.core.engine import InferenceEngine
 from repro.core.lifecycle import ModelVersion
@@ -20,12 +21,20 @@ from repro.feedback.quantization import QuantizationConfig, quantize_angles
 from repro.nn.attention import SpatialAttention
 from repro.nn.compute import (
     COMPUTE_NAMES,
-    ArenaPool,
     ComputeError,
     Fp32ArenaBackend,
     fused_selu,
 )
-from repro.nn.layers import SELU_ALPHA, SELU_SCALE, Conv2D, Dense, MaxPool2D, Selu, Softmax
+from repro.nn.layers import (
+    GEMM_SAMPLES,
+    SELU_ALPHA,
+    SELU_SCALE,
+    Conv2D,
+    Dense,
+    MaxPool2D,
+    Selu,
+    Softmax,
+)
 from repro.nn.training import TrainingConfig
 from tests.observations import codewords
 
@@ -208,6 +217,24 @@ class TestFp32Backend:
         assert backend.arena_allocations > warm
         reference = model_without_compute_forward(model, doubled)
         np.testing.assert_allclose(out, reference, rtol=1e-4, atol=1e-4)
+
+    def test_im2col_buffer_holds_one_gemm_block(self, model_and_input):
+        model, x = model_and_input
+        backend = model.set_compute("fp32")
+        batch = np.concatenate([x] * 6)[:64]
+        out = model.forward(batch, training=False)
+        np.testing.assert_allclose(
+            out, model_without_compute_forward(model, batch), rtol=1e-4, atol=1e-4
+        )
+        # Arena slots are (key, trailing shape, dtype); the leading dimension
+        # of a buffer is the samples it holds.
+        cols = [
+            buffer
+            for (key, _, _), buffer in backend._arena._buffers.items()
+            if key[-1] == "col"
+        ]
+        assert cols
+        assert max(buffer.shape[0] for buffer in cols) <= GEMM_SAMPLES
 
     def test_outputs_do_not_alias_the_arena(self, model_and_input):
         model, x = model_and_input

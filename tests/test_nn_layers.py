@@ -1,9 +1,12 @@
 """Unit and gradient-check tests for the neural-network layers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.nn.layers import (
+    GEMM_SAMPLES,
     SELU_ALPHA,
     SELU_SCALE,
     AlphaDropout,
@@ -17,6 +20,7 @@ from repro.nn.layers import (
     Selu,
     Sigmoid,
     Softmax,
+    batch_invariant_matmul,
 )
 from tests.gradcheck import check_layer_input_gradient, check_layer_parameter_gradients
 
@@ -80,6 +84,41 @@ class TestConv2D:
             atol=1e-12,
         )
 
+    @pytest.mark.parametrize(
+        "shape, kernel, padding",
+        [((128, 128, 1, 29), (1, 7), "same"), ((4, 6, 3, 10), (2, 3), "valid")],
+        ids=["paper-conv2", "valid-2x3"],
+    )
+    @pytest.mark.parametrize("batch", [1, 8, 13, 63, 64])
+    def test_blocked_inference_matches_the_whole_batch_product(
+        self, shape, kernel, padding, batch
+    ):
+        # Building im2col one GEMM block at a time keeps every GEMM's shape
+        # and operands, so the bits equal one whole-batch gather multiplied
+        # through batch_invariant_matmul.
+        in_channels, out_channels, height, width = shape
+        rng = np.random.default_rng(batch)
+        layer = Conv2D(in_channels, out_channels, kernel, padding=padding, rng=rng)
+        layer.bias[...] = rng.standard_normal(out_channels)
+        x = rng.standard_normal((batch, in_channels, height, width))
+        assert layer.forward(x).tobytes() == whole_batch_product(layer, x).tobytes()
+
+    @pytest.mark.parametrize("batch", [64, 63])
+    def test_inference_scratch_holds_one_gemm_block(self, batch):
+        # The paper model's conv2: only the output grows with the batch; the
+        # im2col scratch is one GEMM block, however the batch is cut.
+        layer = Conv2D(128, 128, (1, 7), rng=np.random.default_rng(0))
+        x = np.random.default_rng(1).standard_normal((batch, 128, 1, 29))
+        output_bytes = batch * 128 * 29 * x.itemsize
+        block_im2col_bytes = GEMM_SAMPLES * 29 * 128 * 7 * x.itemsize
+        tracemalloc.start()
+        try:
+            layer.forward(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < output_bytes + 4 * block_im2col_bytes
+
     def test_manual_convolution_result(self):
         # 1x1 spatial input, kernel (1,1): conv reduces to a channel mixing.
         layer = Conv2D(2, 1, (1, 1), rng=np.random.default_rng(0))
@@ -116,6 +155,22 @@ class TestConv2D:
             Conv2D(2, 2, (0, 3))
         with pytest.raises(LayerError):
             Conv2D(2, 2, (1, 3), padding="reflect")
+
+
+def whole_batch_product(layer, x):
+    """Oracle: one im2col gather of the whole batch through batch_invariant_matmul."""
+    kh, kw = layer.kernel_size
+    windows = np.lib.stride_tricks.sliding_window_view(
+        layer._pad(x), (kh, kw), axis=(2, 3)
+    )  # (batch, c, out_h, out_w, kh, kw)
+    batch, _, out_h, out_w = windows.shape[:4]
+    out = batch_invariant_matmul(
+        windows.transpose(0, 2, 3, 1, 4, 5).reshape(batch, out_h * out_w, -1),
+        layer.weight.reshape(layer.weight.shape[0], -1).T,
+    ).reshape(batch, out_h, out_w, -1)
+    out = np.ascontiguousarray(np.moveaxis(out, 3, 1))
+    out += layer.bias[np.newaxis, :, np.newaxis, np.newaxis]
+    return out
 
 
 class TestMaxPool2D:
