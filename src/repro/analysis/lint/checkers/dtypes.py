@@ -1,9 +1,9 @@
 """Dtype-contract checker for ``# lint: dtype-strict`` modules.
 
-The fp32 compute backend (:mod:`repro.nn.compute`) holds the
-invariant that no intermediate silently upcasts to float64: a single stray
-``np.float64`` temporary doubles the memory traffic of a conv activation and
-quietly erases the backend's speedup.  A module opts in with a
+The inference forward (:mod:`repro.nn.compute`) holds the invariant that
+every intermediate has the forward's dtype: a single stray ``np.float64``
+temporary in a float32 forward doubles the memory traffic of a conv
+activation.  A module opts in with a
 
     # lint: dtype-strict
 
@@ -12,9 +12,8 @@ comment (anywhere in the file); the checker then flags:
 ``dtype/float64``
     Explicit float64 mentions: ``np.float64`` / ``np.double`` attributes,
     ``dtype=float`` / ``astype(float)`` (the ``float`` builtin *is*
-    float64), and ``"float64"`` / ``"<f8"`` dtype strings.  Deliberate
-    fp64 uses (the fp64 fallback for unsupported layer types) carry a
-    justified suppression instead.
+    float64), and ``"float64"`` / ``"<f8"`` dtype strings.  A deliberate
+    fp64 use carries a justified suppression instead.
 
 ``dtype/missing-dtype``
     Dtype-less array constructors (``np.zeros``, ``np.empty``, ``np.ones``,

@@ -2,10 +2,11 @@
 
 Functions decorated with :func:`repro.analysis.annotations.hot_path` are the
 steady-state streaming hot path: after warm-up they must not allocate fresh
-batch-sized buffers per call.  The fp32 compute backend earns its >=2x
-speedup largely from grow-only arenas (:class:`repro.arena.ArenaPool`)
-and the engine's staging buffers; this checker keeps per-call allocations
-from creeping back in:
+batch-sized buffers per call.  The inference forward keeps its scratch in
+grow-only arenas (:class:`repro.arena.ArenaPool`), and so do the engine's
+staging buffers: a multi-megabyte buffer freed per batch can be returned to
+the OS and page-faulted back in by the next batch.  This checker keeps
+per-call allocations from creeping back in:
 
 ``hot-path/banned-alloc``
     Calls to the NumPy batch constructors that always allocate

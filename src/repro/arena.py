@@ -1,14 +1,12 @@
 """Grow-only scratch-buffer arena shared by the inference hot paths.
 
 The streaming engine runs the same shapes batch after batch, so every hot
-path (the fp32 NN backend in :mod:`repro.nn.compute`, the codeword-native
+path (the inference forward in :mod:`repro.nn.compute`, the codeword-native
 Givens reconstruction in :mod:`repro.feedback.givens`, the batch staging in
-:mod:`repro.core.engine`) wants the same thing: per-shape scratch buffers
-that are allocated once for the largest batch seen and reused as views for
-every smaller batch afterwards.  :class:`ArenaPool` is that allocator; it
-grew up inside the fp32 compute backend and was promoted here so the
-pre-NN preprocessing stages can share the idiom without importing the
-neural-network stack.
+:mod:`repro.core.engine`) wants the same thing: scratch buffers that are
+allocated once for the largest batch seen and reused as views for every
+smaller batch afterwards.  :class:`ArenaPool` is that allocator, kept out
+of the neural-network stack so the pre-NN stages can use it too.
 """
 
 from __future__ import annotations
@@ -27,12 +25,12 @@ class ArenaPool:
     """Grow-only, per-shape scratch buffers reused across inference batches.
 
     Buffers are keyed by ``(key, trailing_shape)`` where ``key`` identifies
-    the consumer (layer index + role) and the *leading* dimension scales
-    with the batch (samples or GEMM rows; at most one GEMM block of samples
-    for the fp32 backend's im2col gather): a smaller request returns a view
-    of the existing buffer, a larger one regrows it.  After the first batch
-    of the largest size, steady-state inference therefore performs no large
-    allocations.
+    the consumer and the *leading* dimension scales with the batch: a
+    smaller request returns a view of the existing buffer, a larger one
+    regrows it.  The inference forward asks for flat ``(size,)`` buffers
+    by role, so one buffer serves every layer and grows to the largest.
+    After the first batch of the largest size, steady-state inference
+    therefore performs no large allocations.
 
     ``allocations`` counts buffer (re)allocations so tests and benchmarks
     can assert the steady state really is allocation-free.

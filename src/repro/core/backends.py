@@ -13,10 +13,10 @@ shard engines run* to an :class:`ExecutionBackend`:
   per shard.  Each child owns a private
   :class:`~repro.core.engine.InferenceEngine` whose classifier weights are
   cloned exactly once at startup (copy-on-write under the ``fork`` start
-  method, one pickled copy under ``spawn``).  The classifier's compute
-  backend (:mod:`repro.nn.compute`) rides along in that startup payload,
-  while its scratch arenas are dropped on pickling and rebuilt lazily in
-  the child.  Afterwards the hot path moves
+  method, one pickled copy under ``spawn``).  The model's inference dtype
+  (:mod:`repro.nn.compute`) rides along in that startup payload; its
+  prepared weights and scratch are not pickled, and the child rebuilds
+  them on its first forward.  Afterwards the hot path moves
   frames through a :class:`~repro.core.transport.ShmRing` shared-memory ring
   buffer - raw frame or codeword bytes plus a compact header, never a
   pickled NumPy object per frame.  Compact per-frame *results* (module id,

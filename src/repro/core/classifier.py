@@ -169,7 +169,7 @@ class DeepCsiClassifier:
     # ------------------------------------------------------------------ #
     @property
     def compute(self):
-        """The compute backend attached to the model (``None`` = plain fp64)."""
+        """The model's float32 inference forward (``None`` = the fp64 default)."""
         return self.model.compute if self.model is not None else None
 
     @property
@@ -179,11 +179,10 @@ class DeepCsiClassifier:
         return backend.name if backend is not None else "fp64"
 
     def set_compute(self, compute):
-        """Route inference through the fp32 compute backend.
+        """Run inference in float32 (``"fp32"``) or float64 (``None``).
 
-        ``compute`` is ``"fp32"`` or ``None`` to restore the plain fp64
-        path; re-selecting the active backend keeps it.  Returns the
-        attached backend (or ``None``).
+        Re-selecting the active float32 forward keeps it (and its scratch).
+        Returns the float32 forward, or ``None``.
         """
         model = self._require_trained()
         backend = self.compute

@@ -828,8 +828,9 @@ class InferenceEngine:
         # and extract features from the (B, K_sel, M, M) Givens accumulator
         # without materialising V~ (each row is bit-identical to a full-K
         # rebuild's).  Mixed batches are classified per group but reported in
-        # input order; the fp64 forward gives a sample the same bits in any
-        # batch (``batch_invariant_matmul``), so the split changes no result.
+        # input order; the inference forward gives a sample the same bits in
+        # any batch (fixed-shape GEMM blocks, ``repro.nn.compute``), so the
+        # split changes no result.
         quantized_groups: Dict[tuple, List[_PendingObservation]] = {}
         for entry in pending:
             quantized = entry.quantized

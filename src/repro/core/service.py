@@ -335,7 +335,7 @@ class StreamingService:
             )
         if compute is not None:
             # Attach before the backend copies the classifier so every shard
-            # inherits the prepared backend.
+            # inherits the dtype.
             classifier.set_compute(compute)
         self.precision = precision
         num_workers = resolve_num_workers(num_workers, backend)

@@ -78,9 +78,8 @@ class SpatialAttention(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise LayerError(f"{self.name}: backward called before forward")
-        x = self._cache["x"]
-        max_map = self._cache["max_map"]
-        weights = self._cache["weights"]
+        cache, self._cache = self._cache, None
+        x, max_map, weights = cache["x"], cache["max_map"], cache["weights"]
         num_channels = x.shape[1]
 
         # y = x * s + x  ->  dy/dx (direct paths) = s + 1.

@@ -1,47 +1,63 @@
-"""The float32 inference compute backend.
+"""The inference forward of :class:`repro.nn.model.Sequential`, in fp64 or fp32.
 
-Training always runs through the layers' own fp64 ``forward``/``backward``
-methods, and so does inference by default.  Attaching the ``fp32`` backend
-(:meth:`repro.nn.model.Sequential.set_compute`) routes *inference* forwards
-through :class:`Fp32ArenaBackend` instead, so the always-on streaming hot
-path can trade numerics for throughput without touching the layer code:
-float32 weights and activations, with every intermediate tensor (padded
-inputs, im2col patch matrices, GEMM outputs, activation maps) in a
-grow-only per-shape *arena* that is reused across batches.  Steady-state
-inference therefore performs zero large allocations; SELU/sigmoid are
-computed with fused kernels that allocate nothing (SELU's is the fp64 layer's).
+Training runs the layers' own ``forward``/``backward`` math.  Inference
+(``forward(training=False)``, ``predict``) runs one :class:`ArenaForward` in
+the model's dtype: float64 by default, float32 after
+``Sequential.set_compute("fp32")``.  Both dtypes run the same code:
 
-The backend is picklable and deepcopy-able: arenas are dropped from the
-state (they are rebuilt lazily), while the prepared float32 weights travel
-with the model.  That is how the process execution backend
-(:mod:`repro.core.backends`) ships the compute choice to its shard workers
-inside the one-time classifier startup payload.
+* **Layout.**  Activations flow NHWC, so a conv's GEMM output *is* the next
+  layer's input.  The NCHW model input is transposed once on ingest,
+  ``Flatten`` restores the NCHW flattening order and a 4-d model output is
+  returned NCHW, so results read as the layers' own would.
+* **Batch invariance.**  BLAS picks its kernel, and with it the rounding of
+  every output, by matrix shape (a one-row product runs as a GEMV, small
+  products take a dedicated kernel).  Every GEMM therefore multiplies one
+  block of :data:`GEMM_SAMPLES` samples, a partial last block zero-padded,
+  so a sample's output has the same bits in any batch, alone included.
+* **Columns.**  float64 multiplies the layers' own weights, a conv's viewed
+  as ``(c * kh * kw, cout)``, so its im2col columns run in ``(c, kh, kw)``
+  order; float32 casts the weights once and gathers ``(kh, kw, c)``
+  columns, which copy near-contiguous runs out of NHWC.  The choice is made
+  in one place, :func:`_prepare`.
+* **Scratch.**  Every layer shares one set of flat buffers: two ping-pong
+  activation buffers (the idle one is SELU's scratch and the attention's
+  NCHW copy), one GEMM block (its zero-bordered input and its im2col
+  matrix) and the attention's small maps and logits.  They grow to the
+  largest batch seen and are reused after, so a warm forward allocates only
+  its result.  The buffers are per thread (a ``threading.local``): forwards
+  on several threads never share them, and a thread's buffers die with it.
+* **State.**  The forward holds no reference to its model.  It prepares a
+  layer's GEMM operands on first use: views of the float64 weights, which
+  see every in-place optimiser step, or float32 casts, which
+  ``Sequential.add`` and ``set_weights`` drop for re-preparation.  Pickles
+  and deep copies carry the dtype only, so a process shard's startup
+  payload and a thread shard's copy hold the weights once, in the layers.
 """
 
 from __future__ import annotations
 
 # lint: dtype-strict
 
+import threading
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from math import prod
+from typing import Dict, Tuple
 
 import numpy as np
+from numpy.typing import DTypeLike
 
 from repro.analysis.annotations import hot_path
 from repro.arena import ArenaPool
 from repro.nn.attention import SpatialAttention
 from repro.nn.layers import (
-    GEMM_SAMPLES,
     AlphaDropout,
     Conv2D,
     Dense,
     Dropout,
     Flatten,
+    LayerError,
     MaxPool2D,
-    Relu,
     Selu,
-    Sigmoid,
-    Softmax,
     _pad_same,
     fused_selu,
 )
@@ -49,69 +65,58 @@ from repro.nn.layers import (
 #: Names accepted by ``--compute`` / ``set_compute`` besides ``None`` (fp64).
 COMPUTE_NAMES: Tuple[str, ...] = ("fp32",)
 
+#: Samples per GEMM of an inference forward.
+GEMM_SAMPLES = 8
+
 
 class ComputeError(ValueError):
     """Raised for invalid compute-backend configurations or usage."""
 
 
-# --------------------------------------------------------------------------- #
-# Prepared per-layer states
-# --------------------------------------------------------------------------- #
 @dataclass
 class _DenseState:
-    """Float32 copy of a Dense layer's parameters."""
+    """A Dense layer's GEMM operands in the forward's dtype."""
 
-    weight: np.ndarray  # (in_features, out_features) float32
-    bias: np.ndarray  # (out_features,) float32
+    weight: np.ndarray  # (in_features, out_features)
+    bias: np.ndarray  # (out_features,)
 
 
 @dataclass
 class _ConvState:
-    """Float32 copy of a Conv2D layer, reshaped for the im2col GEMM."""
+    """A Conv2D layer's GEMM operands in the forward's dtype."""
 
-    weight2d: np.ndarray  # (kh * kw * in_channels, out_channels) float32
-    bias: np.ndarray  # (out_channels,) float32
+    weight2d: np.ndarray  # (columns, out_channels)
+    bias: np.ndarray  # (out_channels,)
     kernel: Tuple[int, int]
     padding: str
-    in_channels: int
-    out_channels: int
+    window_axes: Tuple[int, ...]  # the (b, oh, ow, c, kh, kw) windows in column order
 
 
-@dataclass
-class _AttentionState:
-    """Prepared state of a SpatialAttention block."""
-
-    conv: _ConvState
-
-
-def _dense_state(layer: Dense) -> _DenseState:
-    return _DenseState(
-        weight=np.ascontiguousarray(layer.weight, dtype=np.float32),
-        bias=layer.bias.astype(np.float32),
-    )
-
-
-def _conv_state(layer: Conv2D) -> _ConvState:
-    # The (cout, cin, kh, kw) kernel becomes the (kh*kw*cin, cout) GEMM form;
-    # the row order matches the backend's internal NHWC activation layout, so
-    # the im2col gather copies near-contiguous (kw, cin) blocks.
+def _prepare(layer, dtype: np.dtype):
+    """``layer``'s GEMM operands in ``dtype``, or ``None`` for a layer without any."""
+    if isinstance(layer, Dense):
+        return _DenseState(np.asarray(layer.weight, dtype=dtype), np.asarray(layer.bias, dtype=dtype))
+    if isinstance(layer, SpatialAttention):
+        layer = layer.conv
+    if not isinstance(layer, Conv2D):
+        return None
     cout = layer.weight.shape[0]
-    return _ConvState(
-        weight2d=np.ascontiguousarray(
-            layer.weight.transpose(2, 3, 1, 0).reshape(-1, cout), dtype=np.float32
-        ),
-        bias=layer.bias.astype(np.float32),
-        kernel=layer.kernel_size,
-        padding=layer.padding,
-        in_channels=layer.weight.shape[1],
-        out_channels=cout,
-    )
+    if dtype == np.float32:
+        # (kh, kw, c) columns: the gather copies near-contiguous NHWC runs.
+        axes: Tuple[int, ...] = (0, 1, 2, 4, 5, 3)
+        weight2d = np.ascontiguousarray(
+            layer.weight.transpose(2, 3, 1, 0).reshape(-1, cout), dtype=dtype
+        )
+    else:
+        # (c, kh, kw) columns: the GEMM reads the (cout, c, kh, kw) weights
+        # in place, a view, in the column order of the pinned float64 bits.
+        axes = (0, 1, 2, 3, 4, 5)
+        weight2d = layer.weight.reshape(cout, -1).T
+    bias = np.asarray(layer.bias, dtype=dtype)
+    return _ConvState(weight2d, bias, layer.kernel_size, layer.padding, axes)
 
 
-# --------------------------------------------------------------------------- #
-# Fused element-wise kernels (SELU is the layers' own ``fused_selu``)
-# --------------------------------------------------------------------------- #
-def _fused_sigmoid_inplace(x: np.ndarray) -> np.ndarray:
+def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid computed in place on ``x``."""
     np.clip(x, -60.0, 60.0, out=x)
     np.negative(x, out=x)
@@ -121,248 +126,218 @@ def _fused_sigmoid_inplace(x: np.ndarray) -> np.ndarray:
     return x
 
 
-# --------------------------------------------------------------------------- #
-# Backend
-# --------------------------------------------------------------------------- #
-class Fp32ArenaBackend:
-    """Float32 forward with preallocated, batch-reusable arenas.
+class _Scratch:
+    """One thread's buffers, shared by every layer of every forward."""
 
-    Internally, 4-d activations flow in NHWC layout: the im2col gather then
-    copies near-contiguous ``(kw, channels)`` blocks and the conv GEMM output
-    *is* the next layer's input, with no NCHW transpose copy per layer.  The
-    model input (NCHW, the reference layout of the fp64 layers) is transposed
-    once on ingest and the ``Flatten`` boundary restores the fp64 NCHW
-    flattening order, so results stay comparable with the fp64 path.
-    """
+    def __init__(self, dtype: np.dtype) -> None:
+        self.pool = ArenaPool()
+        self.dtype = dtype
+        self.live = 0  # the activation buffer holding the last layer's output
+        self.padded = 0  # the running batch, rounded up to whole GEMM blocks
 
-    name = "fp32"
-    dtype = np.float32
+    def buffer(self, role, shape: Tuple[int, ...]) -> np.ndarray:
+        """A ``shape`` view of the flat buffer ``role``, grown when too small."""
+        return self.pool.get((role,), (prod(shape),), dtype=self.dtype).reshape(shape)
 
-    def __init__(self) -> None:
-        self.model = None
-        self._states: List[object] = []
-        self._arena = ArenaPool()
+    def idle(self, sample_shape: Tuple[int, ...]) -> np.ndarray:
+        """The activation buffer not holding the live activation, padded rows included."""
+        return self.buffer(1 - self.live, (self.padded,) + tuple(sample_shape))
 
-    # -- pickling / deepcopy: arenas are scratch, rebuild them lazily ---- #
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_arena"] = None
-        return state
+    def rows(self, x: np.ndarray) -> np.ndarray:
+        """The live activation ``x`` with its rows up to whole GEMM blocks."""
+        return self.buffer(self.live, (self.padded,) + x.shape[1:])
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._arena = ArenaPool()
+
+class ArenaForward:
+    """The inference forward of a ``Sequential`` in one dtype (see the module doc)."""
+
+    def __init__(self, dtype: DTypeLike) -> None:
+        self.dtype = np.dtype(dtype)
+        self.name = "fp32" if self.dtype == np.float32 else "fp64"
+        self._states: Dict[int, object] = {}
+        self._local = threading.local()
+
+    def __reduce__(self):
+        # Pickles and deep copies carry the dtype only: the prepared weights
+        # and the scratch are rebuilt on the next forward.
+        return (type(self), (self.dtype,))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r})"
 
     @property
     def arena_allocations(self) -> int:
-        """Number of arena buffer (re)allocations performed so far."""
-        return self._arena.allocations
+        """Scratch buffer (re)allocations made so far by this thread's forwards."""
+        scratch = getattr(self._local, "scratch", None)
+        return 0 if scratch is None else scratch.pool.allocations
 
-    # -- preparation ----------------------------------------------------- #
-    def prepare(self, model) -> None:
-        """Cast ``model``'s current weights to the float32 GEMM layouts."""
-        self.model = model
-        self._states = [self._prepare_layer(layer) for layer in model.layers]
+    def reset(self) -> None:
+        """Drop the prepared weights; the next forward prepares them again."""
+        self._states = {}
 
-    @staticmethod
-    def _prepare_layer(layer) -> Optional[object]:
-        if isinstance(layer, Dense):
-            return _dense_state(layer)
-        if isinstance(layer, Conv2D):
-            return _conv_state(layer)
-        if isinstance(layer, SpatialAttention):
-            return _AttentionState(conv=_conv_state(layer.conv))
-        return None
-
-    @hot_path
     # -- dispatch --------------------------------------------------------- #
+    @hot_path
     def forward_layer(self, index: int, layer, x: np.ndarray) -> np.ndarray:
-        """Inference forward of one layer."""
+        """Inference forward of ``layer``, the ``index``-th layer of the model."""
+        scratch = getattr(self._local, "scratch", None)
+        if scratch is None:
+            scratch = self._local.scratch = _Scratch(self.dtype)
         if index == 0:
-            x = self._ingest(index, x)
-        elif x.dtype != self.dtype:
-            cast = self._arena.get((index, "cast"), x.shape, dtype=self.dtype)
-            np.copyto(cast, x)
-            x = cast
-        if isinstance(layer, Conv2D):
-            return self._conv((index,), self._states[index], x)
-        if isinstance(layer, Dense):
-            return self._dense((index,), self._states[index], x)
+            x = self._ingest(scratch, x)
         if isinstance(layer, Selu):
-            return self._selu(index, x)
-        if isinstance(layer, Relu):
-            out = self._arena.get((index, "out"), x.shape, dtype=self.dtype)
-            return np.maximum(x, 0.0, out=out)
-        if isinstance(layer, Sigmoid):
-            out = self._arena.get((index, "out"), x.shape, dtype=self.dtype)
-            np.copyto(out, x)
-            return _fused_sigmoid_inplace(out)
-        if isinstance(layer, Softmax) and x.ndim == 2:
-            return self._softmax(index, x)
-        if isinstance(layer, MaxPool2D):
-            return self._maxpool(index, layer, x)
-        if isinstance(layer, Flatten):
-            return self._flatten(index, x)
+            # In place, with the negative branch in the idle activation buffer.
+            return fused_selu(x, x, scratch.idle(x.shape[1:])[: len(x)])
         if isinstance(layer, (Dropout, AlphaDropout)):
             return x
-        if isinstance(layer, SpatialAttention):
-            return self._attention(index, self._states[index], x)
-        # Unknown layer types (and axis-sensitive ops on 4-d activations,
-        # e.g. a spatial Softmax) fall back to the layer's own fp64 forward
-        # in the reference NCHW layout.
-        return self._reference_forward(layer, x)
+        if index not in self._states:
+            self._states[index] = _prepare(layer, self.dtype)
+        state = self._states[index]
+        if isinstance(layer, Conv2D):
+            out = self._conv(scratch, state, x, 1 - scratch.live)
+        elif isinstance(layer, Dense):
+            out = self._dense(scratch, state, x)
+        elif isinstance(layer, MaxPool2D):
+            out = self._maxpool(scratch, layer, x)
+        elif isinstance(layer, Flatten):
+            out = self._flatten(scratch, x)
+        elif isinstance(layer, SpatialAttention):
+            out = self._attention(scratch, state, x)
+        else:
+            out = self._fallback(scratch, layer, x)
+        scratch.live = 1 - scratch.live
+        return out
 
     @hot_path
-    def _ingest(self, index: int, x: np.ndarray) -> np.ndarray:
-        """Cast the model input to fp32; 4-d NCHW inputs become NHWC."""
-        if x.ndim == 4:
-            batch, channels, height, width = x.shape
-            cast = self._arena.get(
-                (index, "ingest"), (batch, height, width, channels), dtype=self.dtype
-            )
-            np.copyto(cast, x.transpose(0, 2, 3, 1))
-            return cast
-        if x.dtype != self.dtype:
-            cast = self._arena.get((index, "ingest"), x.shape, dtype=self.dtype)
-            np.copyto(cast, x)
-            return cast
-        return x
-
-    def _reference_forward(self, layer, x: np.ndarray) -> np.ndarray:
-        reference = x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
-        # lint: disable=dtype/float64 -- deliberate exact-fp64 fallback for unsupported layer types
-        out = layer.forward(np.asarray(reference, dtype=np.float64), training=False)
-        out = np.asarray(out, dtype=self.dtype)
-        if out.ndim == 4:
-            out = np.ascontiguousarray(out.transpose(0, 2, 3, 1))
+    def _ingest(self, scratch: _Scratch, x: np.ndarray) -> np.ndarray:
+        """Copy the model input into the scratch: cast, and NCHW made NHWC."""
+        batch = len(x)
+        scratch.padded = -(-batch // GEMM_SAMPLES) * GEMM_SAMPLES
+        scratch.live = 0
+        source = x.transpose(0, 2, 3, 1) if x.ndim == 4 else x
+        out = scratch.rows(source)[:batch]
+        np.copyto(out, source)
         return out
 
     @hot_path
     def finalize(self, out: np.ndarray) -> np.ndarray:
-        """Detach the final output from the arena."""
-        # The output aliases an arena buffer that the next batch overwrites.
-        return np.array(out, copy=True)  # lint: disable=hot-path/banned-alloc -- the result must escape the arena; one (B, C) copy per batch
+        """The model output detached from the scratch, a 4-d one in NCHW."""
+        if out.ndim == 4:
+            out = out.transpose(0, 3, 1, 2)
+        return np.array(out, order="C")  # lint: disable=hot-path/banned-alloc -- the result must escape the scratch; one (B, C) copy per batch
 
     # -- kernels ---------------------------------------------------------- #
     @hot_path
-    def _dense(self, key: tuple, state: _DenseState, x: np.ndarray) -> np.ndarray:
-        out = self._arena.get(key + ("mm",), (x.shape[0], state.weight.shape[1]), dtype=self.dtype)
-        np.matmul(x, state.weight, out=out)
+    def _conv(self, scratch: _Scratch, state: _ConvState, x: np.ndarray, role) -> np.ndarray:
+        """``x`` (NHWC) convolved into the buffer ``role``, one GEMM block at a time."""
+        batch, height, width, channels = x.shape
+        top, bottom, left, right = (
+            _pad_same(height, width, state.kernel) if state.padding == "same" else (0, 0, 0, 0)
+        )
+        block = scratch.buffer(
+            "block", (GEMM_SAMPLES, top + height + bottom, left + width + right, channels)
+        )
+        # The block buffer is shared: zero the border another layer wrote.
+        block[:, :top] = 0.0
+        block[:, top + height :] = 0.0
+        block[:, :, :left] = 0.0
+        block[:, :, left + width :] = 0.0
+        interior = block[:, top : top + height, left : left + width]
+        windows = np.lib.stride_tricks.sliding_window_view(
+            block, state.kernel, axis=(1, 2)
+        ).transpose(state.window_axes)
+        col = scratch.buffer("col", windows.shape)
+        out_h, out_w = windows.shape[1:3]
+        positions = out_h * out_w
+        gemm_rows = col.reshape(GEMM_SAMPLES * positions, -1)
+        out = scratch.buffer(role, (scratch.padded * positions, state.weight2d.shape[1]))
+        for start in range(0, batch, GEMM_SAMPLES):
+            count = min(GEMM_SAMPLES, batch - start)
+            interior[:count] = x[start : start + count]
+            interior[count:] = 0.0
+            np.copyto(col, windows)
+            np.matmul(
+                gemm_rows,
+                state.weight2d,
+                out=out[start * positions : (start + GEMM_SAMPLES) * positions],
+            )
+        out = out[: batch * positions]
+        out += state.bias
+        return out.reshape(batch, out_h, out_w, -1)
+
+    @hot_path
+    def _dense(self, scratch: _Scratch, state: _DenseState, x: np.ndarray) -> np.ndarray:
+        """``x @ weight + bias``, one GEMM per block of the zero-padded batch."""
+        batch, features = x.shape
+        rows = scratch.rows(x)
+        rows[batch:] = 0.0
+        units = state.weight.shape[1]
+        out = scratch.idle((units,))
+        np.matmul(
+            rows.reshape(-1, GEMM_SAMPLES, features),
+            state.weight,
+            out=out.reshape(-1, GEMM_SAMPLES, units),
+        )
+        out = out[:batch]
         out += state.bias
         return out
 
     @hot_path
-    def _conv(self, key: tuple, state: _ConvState, x: np.ndarray) -> np.ndarray:
-        batch, height, width, channels = x.shape
-        kh, kw = state.kernel
-        if state.padding == "same":
-            top, bottom, left, right = _pad_same(height, width, state.kernel)
-            padded = self._arena.get(
-                key + ("pad",),
-                (batch, height + top + bottom, width + left + right, channels),
-                dtype=self.dtype,
-                zero=True,
-            )
-            np.copyto(padded[:, top : top + height, left : left + width], x)
-        else:
-            padded = x
-        out_h = padded.shape[1] - kh + 1
-        out_w = padded.shape[2] - kw + 1
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, (kh, kw), axis=(1, 2)
-        ).transpose(0, 1, 2, 4, 5, 3)  # (batch, out_h, out_w, kh, kw, c) -- a view
-        # im2col one GEMM block at a time: the gather buffer holds at most
-        # GEMM_SAMPLES samples, and each block's GEMM fills its rows of the
-        # batch-sized output.
-        col = self._arena.get(
-            key + ("col",),
-            (min(batch, GEMM_SAMPLES), out_h, out_w, kh, kw, channels),
-            dtype=self.dtype,
-        )
-        positions = out_h * out_w
-        accumulator = self._arena.get(
-            key + ("mm",), (batch * positions, state.out_channels), dtype=self.dtype
-        )
-        for start in range(0, batch, GEMM_SAMPLES):
-            count = min(GEMM_SAMPLES, batch - start)
-            np.copyto(col[:count], windows[start : start + count])
-            np.matmul(
-                col[:count].reshape(count * positions, kh * kw * channels),
-                state.weight2d,
-                out=accumulator[start * positions : (start + count) * positions],
-            )
-        accumulator += state.bias
-        # The GEMM output already is the NHWC activation: no transpose copy.
-        return accumulator.reshape(batch, out_h, out_w, state.out_channels)
-
-    @hot_path
-    def _selu(self, index: int, x: np.ndarray) -> np.ndarray:
-        out = self._arena.get((index, "out"), x.shape, dtype=self.dtype)
-        scratch = self._arena.get((index, "scratch"), x.shape, dtype=self.dtype)
-        return fused_selu(x, out, scratch)
-
-    @hot_path
-    def _softmax(self, index: int, x: np.ndarray) -> np.ndarray:
-        out = self._arena.get((index, "out"), x.shape, dtype=self.dtype)
-        np.subtract(x, np.max(x, axis=-1, keepdims=True), out=out)
-        np.exp(out, out=out)
-        out /= np.sum(out, axis=-1, keepdims=True)
-        return out
-
-    @hot_path
-    def _maxpool(self, index: int, layer: MaxPool2D, x: np.ndarray) -> np.ndarray:
+    def _maxpool(self, scratch: _Scratch, layer: MaxPool2D, x: np.ndarray) -> np.ndarray:
         ph, pw = layer.pool_size
-        batch, channels = x.shape[0], x.shape[3]
-        out_h = x.shape[1] // ph
-        out_w = x.shape[2] // pw
+        batch, height, width, channels = x.shape
+        out_h, out_w = height // ph, width // pw
         if out_h < 1 or out_w < 1:
-            raise ComputeError(
-                f"input spatial size {x.shape[1:3]} smaller than pool {layer.pool_size}"
+            raise LayerError(
+                f"{layer.name}: input spatial size {(height, width)} smaller than "
+                f"pool {layer.pool_size}"
             )
-        cropped = x[:, : out_h * ph, : out_w * pw, :]
-        out = self._arena.get((index, "out"), (batch, out_h, out_w, channels), dtype=self.dtype)
-        # Non-overlapping pooling: the (di, dj) offset grids partition every
-        # window, so ph*pw strided maximums replace the generic reduction.
-        np.copyto(out, cropped[:, ::ph, ::pw, :])
-        for di in range(ph):
-            for dj in range(pw):
-                if di == 0 and dj == 0:
-                    continue
-                np.maximum(out, cropped[:, di::ph, dj::pw, :], out=out)
+        cropped = x[:, : out_h * ph, : out_w * pw]
+        out = scratch.idle((out_h, out_w, channels))[:batch]
+        # Non-overlapping windows: the (di, dj) offset grids partition every
+        # window, folded in the order MaxPool2D folds a contiguous input.
+        np.copyto(out, cropped[:, ::ph, ::pw])
+        for di, dj in list(np.ndindex(ph, pw))[1:]:
+            np.maximum(out, cropped[:, di::ph, dj::pw], out=out)
         return out
 
     @hot_path
-    def _flatten(self, index: int, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 4:
-            return x.reshape(x.shape[0], -1)
-        # Restore the fp64 reference flattening order (channel-major NCHW).
-        batch, height, width, channels = x.shape
-        out = self._arena.get((index, "out"), (batch, channels * height * width), dtype=self.dtype)
-        np.copyto(
-            out.reshape(batch, channels, height, width), x.transpose(0, 3, 1, 2)
-        )
+    def _flatten(self, scratch: _Scratch, x: np.ndarray) -> np.ndarray:
+        """``x`` flattened in the NCHW order of the ``Flatten`` layer."""
+        out = scratch.idle((prod(x.shape[1:]),))[: len(x)]
+        source = x.transpose(0, 3, 1, 2) if x.ndim == 4 else x
+        np.copyto(out.reshape(source.shape), source)
         return out
 
     @hot_path
-    def _attention(self, index: int, state: _AttentionState, x: np.ndarray) -> np.ndarray:
+    def _attention(self, scratch: _Scratch, state: _ConvState, x: np.ndarray) -> np.ndarray:
+        """:class:`SpatialAttention`: attention weights times ``x``, plus ``x``."""
         batch, height, width, channels = x.shape
-        stacked = self._arena.get((index, "att_in"), (batch, height, width, 2), dtype=self.dtype)
-        np.max(x, axis=3, out=stacked[..., 0])
-        np.mean(x, axis=3, out=stacked[..., 1])
-        logits = self._conv((index, "att"), state.conv, stacked)
-        weights = _fused_sigmoid_inplace(logits)  # in place on the conv arena
-        out = self._arena.get((index, "out"), x.shape, dtype=self.dtype)
+        # The channel max and mean come from an NCHW copy, so numpy sums the
+        # mean in the order of the layer's own NCHW forward.
+        nchw = scratch.idle((channels, height, width))[:batch]
+        np.copyto(nchw, x.transpose(0, 3, 1, 2))
+        maps = scratch.buffer("maps", (batch, height, width, 2))
+        np.max(nchw, axis=1, out=maps[..., 0])
+        np.mean(nchw, axis=1, out=maps[..., 1])
+        weights = _sigmoid_inplace(self._conv(scratch, state, maps, "logits"))
+        out = scratch.idle((height, width, channels))[:batch]  # over the spent NCHW copy
         np.multiply(x, weights, out=out)
         out += x  # skip connection
+        return out
+
+    def _fallback(self, scratch: _Scratch, layer, x: np.ndarray) -> np.ndarray:
+        """Any other layer (ReLU, sigmoid, softmax, ...) runs its own NCHW forward."""
+        result = layer.forward(x.transpose(0, 3, 1, 2) if x.ndim == 4 else x, training=False)
+        if result.ndim == 4:
+            result = result.transpose(0, 2, 3, 1)
+        out = scratch.idle(result.shape[1:])[: len(result)]
+        np.copyto(out, result)
         return out
 
 
 __all__ = [
     "COMPUTE_NAMES",
+    "GEMM_SAMPLES",
+    "ArenaForward",
     "ComputeError",
-    "Fp32ArenaBackend",
-    "fused_selu",
 ]

@@ -2,14 +2,15 @@
 
 Every layer follows the same small protocol:
 
-* ``forward(x, training=False)`` stores whatever it needs for the backward
-  pass and returns the output,
-* ``backward(grad_output)`` returns the gradient with respect to the input
-  and accumulates the parameter gradients,
+* ``forward(x, training=False)`` returns the output and, when training,
+  stores whatever the backward pass needs,
+* ``backward(grad_output)`` returns the gradient with respect to the input,
+  accumulates the parameter gradients and releases what forward stored,
 * ``parameters()`` / ``gradients()`` expose the trainable tensors.
 
 The data layout is ``NCHW`` for image-like tensors and ``(batch, features)``
-for dense layers.
+for dense layers.  This is the training math: a model's inference forward
+runs :mod:`repro.nn.compute` instead.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ def fused_selu(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarra
     Bit-identical (NaN signs aside) in float64 and float32 to
     ``SELU_SCALE * np.where(x > 0, x, SELU_ALPHA * (np.exp(x) - 1))``:
     ``exp(min(x, 0)) - 1`` is exactly the negative branch for ``x <= 0`` and
-    exactly zero for ``x > 0``, so no boolean mask is materialised.  The
-    fp64 :class:`Selu` layer and the fp32 compute backend share this kernel.
+    exactly zero for ``x > 0``, so no boolean mask is materialised.  ``out``
+    may be ``x``.  The :class:`Selu` layer and the inference forward
+    (:mod:`repro.nn.compute`) share this kernel.
     """
     np.minimum(x, 0.0, out=scratch)
     np.exp(scratch, out=scratch)
@@ -42,38 +44,6 @@ def fused_selu(x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarra
     out += scratch
     out *= SELU_SCALE
     return out
-
-
-#: Samples per GEMM of an inference forward.  BLAS picks its kernel, and with
-#: it the rounding of every output, by matrix shape (a one-row product runs as
-#: a GEMV, small products take a dedicated kernel), so one ``(batch, K) @
-#: (K, N)`` product gives a sample different last bits in batches of
-#: different sizes.
-GEMM_SAMPLES = 8
-
-
-def batch_invariant_matmul(rows: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """``rows @ weight`` for ``(batch, R, K)`` rows, each sample's bits batch-free.
-
-    The batch is zero-padded to a multiple of :data:`GEMM_SAMPLES` and
-    multiplied as a stack of ``(GEMM_SAMPLES * R, K) @ (K, N)`` GEMMs, one
-    per *GEMM block* of :data:`GEMM_SAMPLES` samples.  Every BLAS call then
-    has the same shape, and a BLAS kernel computes the rows of one GEMM
-    alike, so a sample's ``(R, N)`` outputs carry the same bits whichever
-    batch, and wherever in it, the sample arrives
-    (``tests/test_core_model.py`` pins this for the DeepCSI models).  The
-    inference forward of :class:`Dense` goes through here; :class:`Conv2D`
-    runs the same GEMMs one block at a time, so its im2col scratch holds one
-    block instead of the batch.  Training keeps one GEMM per batch.
-    """
-    batch, per_sample, depth = rows.shape
-    chunks = -(-batch // GEMM_SAMPLES)
-    if chunks * GEMM_SAMPLES != batch:
-        padded = np.zeros((chunks * GEMM_SAMPLES, per_sample, depth), dtype=rows.dtype)
-        padded[:batch] = rows
-        rows = padded
-    out = np.matmul(rows.reshape(chunks, GEMM_SAMPLES * per_sample, depth), weight)
-    return out.reshape(chunks * GEMM_SAMPLES, per_sample, weight.shape[1])[:batch]
 
 
 class LayerError(ValueError):
@@ -139,18 +109,15 @@ class Dense(Layer):
                 f"{self.name}: expected input of shape (batch, "
                 f"{self.weight.shape[0]}), got {x.shape}"
             )
-        # The input is only needed by backward; retaining it at inference
-        # would pin a full batch of activations alive inside long-lived
-        # engine shards.
+        # The input is only needed by backward.
         self._input = x if training else None
-        if training:
-            return x @ self.weight + self.bias
-        return batch_invariant_matmul(x[:, np.newaxis, :], self.weight)[:, 0, :] + self.bias
+        return x @ self.weight + self.bias
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:
             raise LayerError(f"{self.name}: backward called before forward")
-        self.grad_weight[...] = self._input.T @ grad_output
+        x, self._input = self._input, None
+        self.grad_weight[...] = x.T @ grad_output
         self.grad_bias[...] = np.sum(grad_output, axis=0)
         return grad_output @ self.weight.T
 
@@ -239,11 +206,8 @@ class Conv2D(Layer):
                 f"kernel {self.kernel_size}"
             )
         self._input_shape = x.shape
-        if not training:
-            self._padded_input = None
-            return self._infer(x)
         padded = self._pad(x)
-        self._padded_input = padded
+        self._padded_input = padded if training else None
         # im2col: gather every (kh, kw) window as a view, then contract the
         # (channel, kh, kw) axes against the kernel in BLAS matmuls.
         windows = np.lib.stride_tricks.sliding_window_view(
@@ -254,53 +218,10 @@ class Conv2D(Layer):
         out += self.bias[np.newaxis, :, np.newaxis, np.newaxis]
         return out
 
-    def _infer(self, x: np.ndarray) -> np.ndarray:
-        """Inference: pad, gather and multiply one GEMM block at a time.
-
-        Each block of :data:`GEMM_SAMPLES` samples is padded into one reused
-        buffer, gathered into a ``(GEMM_SAMPLES * positions, c * kh * kw)``
-        im2col matrix in ``(c, kh, kw)`` column order and multiplied as the
-        GEMM :func:`batch_invariant_matmul` would run for it, so a sample's
-        bits stay batch-free.  The scratch holds one block, not the batch,
-        and only a partial last block is zero-padded.
-        """
-        batch, channels, height, width = x.shape
-        kh, kw = self.kernel_size
-        top, bottom, left, right = (
-            _pad_same(height, width, self.kernel_size)
-            if self.padding == "same"
-            else (0, 0, 0, 0)
-        )
-        dtype = np.result_type(x, self.weight)
-        block = np.zeros(
-            (GEMM_SAMPLES, channels, height + top + bottom, width + left + right),
-            dtype=dtype,
-        )
-        interior = block[:, :, top : top + height, left : left + width]
-        windows = np.lib.stride_tricks.sliding_window_view(
-            block, (kh, kw), axis=(2, 3)
-        ).transpose(0, 2, 3, 1, 4, 5)  # (GEMM_SAMPLES, out_h, out_w, c, kh, kw)
-        col = np.empty(windows.shape, dtype=dtype)
-        rows = col.reshape(-1, channels * kh * kw)
-        weight = self.weight.reshape(self.weight.shape[0], -1).T
-        out_h, out_w, cout = col.shape[1], col.shape[2], weight.shape[1]
-        product = np.empty((GEMM_SAMPLES, out_h, out_w, cout), dtype=dtype)
-        product_rows = product.reshape(rows.shape[0], cout)
-        out = np.empty((batch, cout, out_h, out_w), dtype=dtype)
-        for start in range(0, batch, GEMM_SAMPLES):
-            count = min(GEMM_SAMPLES, batch - start)
-            interior[:count] = x[start : start + count]
-            interior[count:] = 0.0
-            np.copyto(col, windows)
-            np.matmul(rows, weight, out=product_rows)
-            out[start : start + count] = product[:count].transpose(0, 3, 1, 2)
-        out += self.bias[np.newaxis, :, np.newaxis, np.newaxis]
-        return out
-
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._padded_input is None or self._input_shape is None:
             raise LayerError(f"{self.name}: backward called before forward")
-        padded = self._padded_input
+        padded, self._padded_input = self._padded_input, None
         kh, kw = self.kernel_size
         out_h = grad_output.shape[2]
         out_w = grad_output.shape[3]
@@ -387,8 +308,10 @@ class MaxPool2D(Layer):
         if self._windows is None or self._input_shape is None:
             raise LayerError(f"{self.name}: backward called before forward")
         ph, pw = self.pool_size
+        windows, out = self._windows, self._out
+        self._windows = self._out = None
         # Mask of the maxima within each window (ties normalised below).
-        mask = self._windows == self._out[:, :, :, np.newaxis, :, np.newaxis]
+        mask = windows == out[:, :, :, np.newaxis, :, np.newaxis]
         # Normalise ties so the gradient sums to the output gradient.
         counts = mask.sum(axis=(3, 5), keepdims=True)
         weights = mask / counts
@@ -440,7 +363,9 @@ class Activation(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None or self._output is None:
             raise LayerError(f"{self.name}: backward requires forward(training=True)")
-        return grad_output * self._derivative(self._input, self._output)
+        x, y = self._input, self._output
+        self._input = self._output = None
+        return grad_output * self._derivative(x, y)
 
 
 class Selu(Activation):
@@ -500,7 +425,7 @@ class Softmax(Layer):
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._output is None:
             raise LayerError(f"{self.name}: backward requires forward(training=True)")
-        y = self._output
+        y, self._output = self._output, None
         dot = np.sum(grad_output * y, axis=-1, keepdims=True)
         return y * (grad_output - dot)
 

@@ -1,4 +1,9 @@
-"""Sequential model container."""
+"""Sequential model container.
+
+Training chains the layers' own ``forward``/``backward`` math.  Every
+inference forward runs the model's :class:`~repro.nn.compute.ArenaForward`,
+float64 by default and float32 after ``set_compute("fp32")``.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.nn.compute import COMPUTE_NAMES, ArenaForward, ComputeError
 from repro.nn.layers import Layer
 from repro.nn.optimizers import ParameterTriple
 
@@ -38,15 +44,15 @@ class Sequential:
     exposes the trainable parameters with qualified names such as
     ``"03_conv/weight"`` so the optimiser can keep per-parameter state.
 
-    Inference forwards can additionally be routed through the float32
-    :mod:`compute backend <repro.nn.compute>` (:meth:`set_compute`) and
-    timed per layer (:meth:`enable_profiling`); both are inference-only --
-    ``forward(training=True)`` always uses the layers' own fp64 math.
+    Inference runs the :mod:`arena forward <repro.nn.compute>`, in float64
+    unless :meth:`set_compute` selects float32; ``forward(training=True)``
+    always uses the layers' own fp64 math.  Both can be timed per layer
+    (:meth:`enable_profiling`).
     """
 
     def __init__(self, layers: Optional[Sequence[Layer]] = None) -> None:
         self.layers: List[Layer] = list(layers) if layers is not None else []
-        self._compute = None
+        self._forward = ArenaForward(np.float64)
         self._profiling = False
         self._profile_calls: List[int] = []
         self._profile_ns: List[int] = []
@@ -54,37 +60,28 @@ class Sequential:
     def add(self, layer: Layer) -> "Sequential":
         """Append a layer and return ``self`` (for chaining)."""
         self.layers.append(layer)
-        if self._compute is not None:
-            self._compute.prepare(self)
+        self._forward.reset()
         return self
 
     # -- compute backend ------------------------------------------------- #
     @property
     def compute(self):
-        """The attached compute backend, or ``None`` for the fp64 default."""
-        return self._compute
+        """The float32 inference forward, or ``None`` for the fp64 default."""
+        return self._forward if self._forward.name == "fp32" else None
 
     def set_compute(self, compute):
-        """Route inference forwards through the fp32 compute backend.
+        """Run inference forwards in float32 (``"fp32"``) or float64 (``None``).
 
-        ``compute`` is ``"fp32"`` (:class:`~repro.nn.compute.Fp32ArenaBackend`)
-        or ``None`` to detach and restore the plain fp64 path.  The backend
-        is prepared against the current weights and returned.
+        Returns the float32 :class:`~repro.nn.compute.ArenaForward`, or
+        ``None`` for float64.
         """
-        if compute is None:
-            self._compute = None
-            return None
-        from repro.nn.compute import COMPUTE_NAMES, ComputeError, Fp32ArenaBackend
-
-        if compute not in COMPUTE_NAMES:
+        if compute is not None and compute not in COMPUTE_NAMES:
             raise ComputeError(
                 f"unknown compute backend {compute!r}; expected None or one of "
                 f"{COMPUTE_NAMES}"
             )
-        backend = Fp32ArenaBackend()
-        backend.prepare(self)
-        self._compute = backend
-        return backend
+        self._forward = ArenaForward(np.float64 if compute is None else np.float32)
+        return self.compute
 
     # -- per-layer profiling --------------------------------------------- #
     def enable_profiling(self) -> None:
@@ -125,24 +122,22 @@ class Sequential:
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         """Run the full forward pass.
 
-        Training always uses the layers' own fp64 ``forward``; inference
-        dispatches through the attached compute backend when one is set.
+        Training chains the layers' own ``forward``; inference runs the
+        arena forward and returns an array it no longer touches.
         """
         if not self.layers:
             raise ModelError("the model has no layers")
-        compute = None if training else self._compute
+        forward = self._forward
+        step = _training_step if training else forward.forward_layer
         if self._profiling:
-            return self._forward_profiled(x, training, compute)
-        out = x
-        if compute is None:
-            for layer in self.layers:
-                out = layer.forward(out, training=training)
-            return out
-        for index, layer in enumerate(self.layers):
-            out = compute.forward_layer(index, layer, out)
-        return compute.finalize(out)
+            out = self._forward_profiled(x, step)
+        else:
+            out = x
+            for index, layer in enumerate(self.layers):
+                out = step(index, layer, out)
+        return out if training else forward.finalize(out)
 
-    def _forward_profiled(self, x: np.ndarray, training: bool, compute) -> np.ndarray:
+    def _forward_profiled(self, x: np.ndarray, step) -> np.ndarray:
         if len(self._profile_calls) < len(self.layers):
             grow = len(self.layers) - len(self._profile_calls)
             self._profile_calls.extend([0] * grow)
@@ -150,13 +145,10 @@ class Sequential:
         out = x
         for index, layer in enumerate(self.layers):
             start = time.perf_counter_ns()
-            if compute is None:
-                out = layer.forward(out, training=training)
-            else:
-                out = compute.forward_layer(index, layer, out)
+            out = step(index, layer, out)
             self._profile_ns[index] += time.perf_counter_ns() - start
             self._profile_calls[index] += 1
-        return out if compute is None else compute.finalize(out)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Run the full backward pass and return the input gradient."""
@@ -168,8 +160,12 @@ class Sequential:
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
 
-    def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
-        """Forward pass in inference mode, processed in mini-batches."""
+    def predict(self, x: np.ndarray, batch_size: int = 64) -> np.ndarray:
+        """Forward pass in inference mode, processed in mini-batches.
+
+        The bits do not depend on ``batch_size``; it sets the scratch the
+        arena forward keeps for the calling thread.
+        """
         if batch_size < 1:
             raise ModelError("batch_size must be >= 1")
         outputs = []
@@ -210,8 +206,7 @@ class Sequential:
                     f"weight shape mismatch: expected {param.shape}, got {value.shape}"
                 )
             param[...] = value
-        if self._compute is not None:
-            self._compute.prepare(self)
+        self._forward.reset()
 
     def summary(self) -> str:
         """Human-readable description of the model."""
@@ -220,3 +215,7 @@ class Sequential:
             lines.append(f"  [{index:02d}] {layer!r}  params={layer.num_parameters}")
         lines.append(f"Total trainable parameters: {self.num_parameters}")
         return "\n".join(lines)
+
+
+def _training_step(index: int, layer: Layer, x: np.ndarray) -> np.ndarray:
+    return layer.forward(x, training=True)

@@ -89,11 +89,13 @@ class TestBuildModel:
         [PAPER_MODEL_CONFIG, FAST_MODEL_CONFIG, DeepCsiModelConfig(num_filters=4, dense_units=(8, 8))],
         ids=["paper", "fast", "tiny"],
     )
-    def test_inference_bits_do_not_depend_on_the_batch(self, config):
-        # A sample's fp64 logits carry the same bits in every batch it can
-        # arrive in, alone included, so no micro-batch cut of a streaming
-        # engine changes a result.
+    @pytest.mark.parametrize("compute", [None, "fp32"], ids=["fp64", "fp32"])
+    def test_inference_bits_do_not_depend_on_the_batch(self, compute, config):
+        # A sample's logits carry the same bits in every batch it can arrive
+        # in, alone included, in either dtype, so no micro-batch cut of a
+        # streaming engine changes a result.
         model = build_deepcsi_model((5, 1, 59), 10, config, rng=np.random.default_rng(0))
+        model.set_compute(compute)
         x = np.random.default_rng(1).standard_normal((13, 5, 1, 59))
         full = model.forward(x)
         for size in range(1, 13):

@@ -1,9 +1,14 @@
-"""Tests for the fp32 inference compute backend."""
+"""Tests for the inference forward, in float64 and float32."""
 
 import copy
+import gc
 import io
 import json
 import pickle
+import sys
+import threading
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -19,14 +24,8 @@ from repro.datasets.splits import D1_SPLITS, d1_split
 from repro.feedback.givens import compress_v_matrix
 from repro.feedback.quantization import QuantizationConfig, quantize_angles
 from repro.nn.attention import SpatialAttention
-from repro.nn.compute import (
-    COMPUTE_NAMES,
-    ComputeError,
-    Fp32ArenaBackend,
-    fused_selu,
-)
+from repro.nn.compute import COMPUTE_NAMES, GEMM_SAMPLES, ArenaForward, ComputeError
 from repro.nn.layers import (
-    GEMM_SAMPLES,
     SELU_ALPHA,
     SELU_SCALE,
     Conv2D,
@@ -34,7 +33,10 @@ from repro.nn.layers import (
     MaxPool2D,
     Selu,
     Softmax,
+    fused_selu,
 )
+from repro.nn.model import Sequential
+from repro.nn.optimizers import Adam
 from repro.nn.training import TrainingConfig
 from tests.observations import codewords
 
@@ -51,12 +53,22 @@ TINY_MODEL = DeepCsiModelConfig(
 ACCEPTED_NAMES = r"expected None or one of \('fp32',\)"
 
 
-@pytest.fixture()
-def model_and_input():
+def tiny_model_and_input():
     rng = np.random.default_rng(7)
     model = build_deepcsi_model((4, 1, 48), 5, config=TINY_MODEL, rng=rng)
     x = rng.standard_normal((12, 4, 1, 48))
     return model, x
+
+
+@pytest.fixture()
+def model_and_input():
+    return tiny_model_and_input()
+
+
+def scratch_buffers(model):
+    """The calling thread's scratch buffers of ``model``'s forward, by role."""
+    pool = model._forward._local.scratch.pool
+    return {key[0]: buffer for (key, _, _), buffer in pool._buffers.items()}
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +125,7 @@ class TestRemovedComputeNames:
     def test_backend_instances_are_refused(self, model_and_input):
         model, _ = model_and_input
         with pytest.raises(ComputeError, match=ACCEPTED_NAMES):
-            model.set_compute(Fp32ArenaBackend())
+            model.set_compute(ArenaForward(np.float32))
 
     def test_engine_and_service_refuse_removed_names(self, trained_classifier):
         with pytest.raises(ComputeError, match=ACCEPTED_NAMES):
@@ -218,24 +230,6 @@ class TestFp32Backend:
         reference = model_without_compute_forward(model, doubled)
         np.testing.assert_allclose(out, reference, rtol=1e-4, atol=1e-4)
 
-    def test_im2col_buffer_holds_one_gemm_block(self, model_and_input):
-        model, x = model_and_input
-        backend = model.set_compute("fp32")
-        batch = np.concatenate([x] * 6)[:64]
-        out = model.forward(batch, training=False)
-        np.testing.assert_allclose(
-            out, model_without_compute_forward(model, batch), rtol=1e-4, atol=1e-4
-        )
-        # Arena slots are (key, trailing shape, dtype); the leading dimension
-        # of a buffer is the samples it holds.
-        cols = [
-            buffer
-            for (key, _, _), buffer in backend._arena._buffers.items()
-            if key[-1] == "col"
-        ]
-        assert cols
-        assert max(buffer.shape[0] for buffer in cols) <= GEMM_SAMPLES
-
     def test_outputs_do_not_alias_the_arena(self, model_and_input):
         model, x = model_and_input
         model.set_compute("fp32")
@@ -285,11 +279,147 @@ class TestFp32Backend:
 
 
 def model_without_compute_forward(model, x):
-    """fp64 reference forward regardless of the attached backend."""
+    """The layers' own fp64 math, chained without the model's forward."""
     out = x
     for layer in model.layers:
         out = layer.forward(out, training=False)
     return out
+
+
+@pytest.mark.parametrize("compute", [None, "fp32"], ids=["fp64", "fp32"])
+class TestOneForward:
+    """Scratch, weights and threads of the inference forward, in both dtypes."""
+
+    def test_im2col_buffer_holds_one_gemm_block(self, model_and_input, compute):
+        model, x = model_and_input
+        model.set_compute(compute)
+        model.forward(x[:1])
+        # conv1 has the widest GEMM block: 48 positions x (4 channels x 5 taps).
+        one_block = GEMM_SAMPLES * 48 * 4 * 5
+        assert scratch_buffers(model)["col"].size == one_block
+        batch = np.concatenate([x] * 6)[:63]
+        out = model.forward(batch)
+        np.testing.assert_allclose(
+            out, model_without_compute_forward(model, batch), rtol=1e-4, atol=1e-4
+        )
+        assert scratch_buffers(model)["col"].size == one_block
+
+    def test_a_4d_output_comes_back_nchw(self, compute):
+        layer = Conv2D(3, 4, (1, 3), rng=np.random.default_rng(0))
+        model = Sequential([layer])
+        model.set_compute(compute)
+        x = np.random.default_rng(1).standard_normal((5, 3, 2, 9))
+        out = model.forward(x)
+        assert out.shape == (5, 4, 2, 9) and out.flags.c_contiguous
+        np.testing.assert_allclose(out, layer.forward(x), rtol=1e-5, atol=1e-5)
+
+    def test_all_layers_share_one_set_of_scratch(self, model_and_input, compute):
+        model, x = model_and_input
+        model.set_compute(compute)
+        model.forward(x)
+        # Two ping-pong activations, one GEMM block (padded input and
+        # im2col) and the attention's maps and logits, whatever the depth.
+        assert set(scratch_buffers(model)) == {0, 1, "block", "col", "maps", "logits"}
+
+    def test_warm_forward_allocates_only_its_result(self, model_and_input, compute):
+        model, x = model_and_input
+        model.set_compute(compute)
+        batch = np.concatenate([x] * 22)[:256]
+        model.forward(batch)
+        warm = model._forward.arena_allocations
+        model.forward(batch[:5])
+        tracemalloc.start()
+        try:
+            out = model.forward(batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert model._forward.arena_allocations == warm
+        # Besides the result, only numpy's fixed-size iterator buffers: one
+        # conv1 activation alone would be 256 * 48 * 8 values, >= 384 KiB.
+        assert peak < out.nbytes + 128 * 1024
+
+    def test_copies_carry_no_prepared_weights(self, model_and_input, compute):
+        model, x = model_and_input
+        model.set_compute(compute)
+        before = len(pickle.dumps(model))
+        model.forward(x)
+        # Prepared operands (fp64 views, fp32 casts) and scratch stay behind.
+        assert len(pickle.dumps(model)) == before
+        assert copy.deepcopy(model)._forward._states == {}
+
+    def test_dropping_a_model_frees_its_scratch(self, compute):
+        model, x = tiny_model_and_input()
+        model.set_compute(compute)
+        model.forward(x)
+        scratch = weakref.ref(model._forward._local.scratch)
+        buffer = weakref.ref(scratch_buffers(model)[0])
+        gc.disable()
+        try:
+            del model
+            assert scratch() is None and buffer() is None
+        finally:
+            gc.enable()
+
+    def test_a_threads_scratch_dies_with_the_thread(self, model_and_input, compute):
+        model, x = model_and_input
+        model.set_compute(compute)
+        reference = model.forward(x)
+        scratches = []
+
+        def run():
+            assert model.forward(x).tobytes() == reference.tobytes()
+            scratches.append(weakref.ref(model._forward._local.scratch))
+
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert len(scratches) == 1 and scratches[0]() is None
+        # The main thread keeps its own scratch.
+        assert model._forward.arena_allocations > 0
+
+    def test_concurrent_forwards_match_serial_ones(self, model_and_input, compute):
+        model, x = model_and_input
+        model.set_compute(compute)
+        batches = [x, x[:5], x[3:], x[::-1], x[:1], x[2:9]]
+        # Each copy prepares its own operands; the threads below race to
+        # prepare the shared model's on their first forwards.
+        expected = [copy.deepcopy(model).forward(batch).tobytes() for batch in batches]
+        results = [None] * len(batches)
+        start = threading.Barrier(len(batches))
+
+        def run(slot):
+            start.wait()
+            for _ in range(10):
+                results[slot] = model.forward(batches[slot]).tobytes()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=run, args=(slot,)) for slot in range(len(batches))]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == expected
+
+
+def test_fp64_forward_after_an_in_place_adam_step_sees_the_new_weights():
+    # The float64 forward multiplies views of the weights, so the validation
+    # forwards inside Trainer.fit see every optimiser step.
+    model, x = tiny_model_and_input()
+    before = model.forward(x)
+    logits = model.forward(x, training=True)
+    model.backward(np.ones_like(logits))
+    Adam(1e-2).step(model.parameters())
+    after = model.forward(x)
+    assert not np.array_equal(after, before)
+    # A copy prepares its operands from the stepped weights afresh.
+    assert after.tobytes() == copy.deepcopy(model).forward(x).tobytes()
 
 
 class TestInferenceCachesDropped:
@@ -329,6 +459,15 @@ class TestInferenceCachesDropped:
     def test_whole_model_after_predict(self, model_and_input):
         model, x = model_and_input
         model.predict(x)
+        for layer in model.layers:
+            self._assert_no_caches(layer)
+
+    def test_backward_releases_the_training_caches(self, model_and_input):
+        # Inference never touches the layers, so a trained model, its deep
+        # copies and its pickles would otherwise carry the last batch.
+        model, x = model_and_input
+        logits = model.forward(x, training=True)
+        model.backward(np.ones_like(logits))
         for layer in model.layers:
             self._assert_no_caches(layer)
 

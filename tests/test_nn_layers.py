@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.nn.attention import SpatialAttention
+from repro.nn.compute import GEMM_SAMPLES
 from repro.nn.layers import (
-    GEMM_SAMPLES,
     SELU_ALPHA,
     SELU_SCALE,
     AlphaDropout,
@@ -20,8 +21,8 @@ from repro.nn.layers import (
     Selu,
     Sigmoid,
     Softmax,
-    batch_invariant_matmul,
 )
+from repro.nn.model import Sequential
 from tests.gradcheck import check_layer_input_gradient, check_layer_parameter_gradients
 
 
@@ -60,6 +61,14 @@ class TestDense:
         with pytest.raises(LayerError):
             Dense(0, 3)
 
+    @pytest.mark.parametrize("batch", [1, 8, 13])
+    def test_model_inference_matches_the_blocked_product(self, batch):
+        layer = Dense(40, 24, rng=np.random.default_rng(0))
+        layer.bias[...] = np.random.default_rng(1).standard_normal(24)
+        x = np.random.default_rng(batch).standard_normal((batch, 40))
+        expected = batch_invariant_matmul(x[:, np.newaxis, :], layer.weight)[:, 0, :] + layer.bias
+        assert Sequential([layer]).forward(x).tobytes() == expected.tobytes()
+
 
 class TestConv2D:
     def test_same_padding_preserves_spatial_size(self, feature_map):
@@ -74,11 +83,11 @@ class TestConv2D:
 
     @pytest.mark.parametrize("padding", ["same", "valid"])
     def test_inference_matches_the_training_product(self, feature_map, padding):
-        # Inference multiplies through fixed-shape GEMMs and training through
-        # one tensordot: the same sums, rounded in another order at most.
+        # A model's inference multiplies through fixed-shape GEMMs and the
+        # layer through one tensordot: the same sums, rounded in another order.
         layer = Conv2D(4, 6, (2, 3), padding=padding, rng=np.random.default_rng(0))
         np.testing.assert_allclose(
-            layer.forward(feature_map),
+            Sequential([layer]).forward(feature_map),
             layer.forward(feature_map, training=True),
             rtol=1e-12,
             atol=1e-12,
@@ -93,31 +102,33 @@ class TestConv2D:
     def test_blocked_inference_matches_the_whole_batch_product(
         self, shape, kernel, padding, batch
     ):
-        # Building im2col one GEMM block at a time keeps every GEMM's shape
-        # and operands, so the bits equal one whole-batch gather multiplied
-        # through batch_invariant_matmul.
+        # The model forward builds im2col one GEMM block at a time and keeps
+        # every GEMM's shape and operands, so the float64 bits equal one
+        # whole-batch gather multiplied through batch_invariant_matmul.
         in_channels, out_channels, height, width = shape
         rng = np.random.default_rng(batch)
         layer = Conv2D(in_channels, out_channels, kernel, padding=padding, rng=rng)
         layer.bias[...] = rng.standard_normal(out_channels)
         x = rng.standard_normal((batch, in_channels, height, width))
-        assert layer.forward(x).tobytes() == whole_batch_product(layer, x).tobytes()
+        out = Sequential([layer]).forward(x)
+        assert out.tobytes() == whole_batch_product(layer, x).tobytes()
 
     @pytest.mark.parametrize("batch", [64, 63])
     def test_inference_scratch_holds_one_gemm_block(self, batch):
-        # The paper model's conv2: only the output grows with the batch; the
-        # im2col scratch is one GEMM block, however the batch is cut.
-        layer = Conv2D(128, 128, (1, 7), rng=np.random.default_rng(0))
+        # The paper model's conv2 as a model: its input copy, its output and
+        # the result grow with the batch; the im2col scratch is one GEMM
+        # block (a whole-batch one would be 8x that), however the batch is cut.
+        model = Sequential([Conv2D(128, 128, (1, 7), rng=np.random.default_rng(0))])
         x = np.random.default_rng(1).standard_normal((batch, 128, 1, 29))
-        output_bytes = batch * 128 * 29 * x.itemsize
+        activation_bytes = 64 * 128 * 29 * x.itemsize
         block_im2col_bytes = GEMM_SAMPLES * 29 * 128 * 7 * x.itemsize
         tracemalloc.start()
         try:
-            layer.forward(x)
+            model.forward(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < output_bytes + 4 * block_im2col_bytes
+        assert peak < 3 * activation_bytes + 2 * block_im2col_bytes
 
     def test_manual_convolution_result(self):
         # 1x1 spatial input, kernel (1,1): conv reduces to a channel mixing.
@@ -157,6 +168,21 @@ class TestConv2D:
             Conv2D(2, 2, (1, 3), padding="reflect")
 
 
+def batch_invariant_matmul(rows, weight):
+    """``rows @ weight`` for ``(batch, R, K)`` rows, as stacked GEMM blocks.
+
+    The batch is zero-padded to a multiple of ``GEMM_SAMPLES`` and multiplied
+    as a stack of ``(GEMM_SAMPLES * R, K) @ (K, N)`` GEMMs, one per block:
+    the products the inference forward runs, whatever the batch.
+    """
+    batch, per_sample, depth = rows.shape
+    chunks = -(-batch // GEMM_SAMPLES)
+    padded = np.zeros((chunks * GEMM_SAMPLES, per_sample, depth), dtype=rows.dtype)
+    padded[:batch] = rows
+    out = np.matmul(padded.reshape(chunks, GEMM_SAMPLES * per_sample, depth), weight)
+    return out.reshape(chunks * GEMM_SAMPLES, per_sample, weight.shape[1])[:batch]
+
+
 def whole_batch_product(layer, x):
     """Oracle: one im2col gather of the whole batch through batch_invariant_matmul."""
     kh, kw = layer.kernel_size
@@ -171,6 +197,27 @@ def whole_batch_product(layer, x):
     out = np.ascontiguousarray(np.moveaxis(out, 3, 1))
     out += layer.bias[np.newaxis, :, np.newaxis, np.newaxis]
     return out
+
+
+class TestSpatialAttentionInference:
+    @pytest.mark.parametrize(
+        "shape", [(13, 16, 1, 1), (13, 16, 1, 12), (8, 24, 2, 7)], ids=["1x1", "1x12", "2x7"]
+    )
+    def test_model_inference_matches_the_nchw_oracle(self, shape):
+        # The channel mean is summed in NCHW order (pairwise over channels
+        # when H * W == 1, one channel after another otherwise) and the
+        # attention conv multiplies whole GEMM blocks.
+        rng = np.random.default_rng(3)
+        layer = SpatialAttention((1, 3), rng=rng)
+        layer.conv.bias[...] = rng.standard_normal(1)
+        x = rng.standard_normal(shape)
+        stacked = np.concatenate(
+            [np.max(x, axis=1, keepdims=True), np.mean(x, axis=1, keepdims=True)], axis=1
+        )
+        logits = whole_batch_product(layer.conv, stacked)
+        weights = 1.0 / (1.0 + np.exp(-np.clip(logits, -60.0, 60.0)))
+        expected = x * weights + x
+        assert Sequential([layer]).forward(x).tobytes() == expected.tobytes()
 
 
 class TestMaxPool2D:

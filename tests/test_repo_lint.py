@@ -32,10 +32,10 @@ def test_repository_is_lint_clean():
 def test_every_suppression_in_the_tree_is_justified():
     report = run_lint(SCAN_ROOTS)
     assert all(entry.justification for entry in report.suppressed)
-    # The deliberate fp64 escapes of the compute backends, the Eq. (8)
-    # float64 reference formulas feeding the trig LUTs, and the runtime
-    # validator's negative-control class are the only suppressions we
-    # expect; new ones need a review-visible justification.
+    # The inference forward's result copy, the Eq. (8) float64 reference
+    # formulas feeding the trig LUTs, and the runtime validator's
+    # negative-control class are the only suppressions we expect; new ones
+    # need a review-visible justification.
     suppressed_files = {Path(entry.path).name for entry in report.suppressed}
     assert suppressed_files <= {
         "compute.py",
