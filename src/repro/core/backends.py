@@ -2,44 +2,53 @@
 
 :class:`~repro.core.service.StreamingService` owns the public API (routing,
 service-wide sequence stamping, aggregated stats) and delegates *where the
-shard engines run* to an :class:`ExecutionBackend`:
+shard engines run* to an execution backend.  Both backends run the same
+shard worker, :func:`_shard_worker_main`, the only loop that drives a shard
+engine; they differ only in the channel that feeds it records and carries
+its messages back:
 
-* :class:`ThreadBackend` (``backend="threads"``) - one worker **thread** per
-  shard, each with a bounded ``queue.Queue``.  Cheap to start and shares the
-  classifier clones in one address space, but the Python shards only overlap
-  during BLAS calls: on a single core, and for the non-GEMM parts of the hot
-  path everywhere, the GIL serialises them.
-* :class:`ProcessBackend` (``backend="processes"``) - one worker **process**
-  per shard.  Each child owns a private
-  :class:`~repro.core.engine.InferenceEngine` whose classifier weights are
-  cloned exactly once at startup (copy-on-write under the ``fork`` start
-  method, one pickled copy under ``spawn``).  The model's inference dtype
-  (:mod:`repro.nn.compute`) rides along in that startup payload; its
-  prepared weights and scratch are not pickled, and the child rebuilds
-  them on its first forward.  Afterwards the hot path moves
-  frames through a :class:`~repro.core.transport.ShmRing` shared-memory ring
-  buffer - raw frame or codeword bytes plus a compact header, never a
-  pickled NumPy object per frame.  Compact per-frame *results* (module id,
-  confidence, source, sequence) return over a ``multiprocessing`` queue,
-  batched per micro-batch, together with the worker engine's consistent
-  :class:`~repro.core.engine.EngineStats` snapshot.
+* :class:`ThreadBackend` (``backend="threads"``) - each worker is a daemon
+  **thread** with a private copy of the classifier.  Its inbox is a
+  :class:`_RecordQueue`, a bounded in-process queue of
+  :class:`~repro.core.transport.Record` objects that are never packed to
+  bytes, and its outbox an in-process queue.  Cheap to start, but the
+  Python shards only overlap during BLAS calls: on a single core, and for
+  the non-GEMM parts of the hot path everywhere, the GIL serialises them.
+* :class:`ProcessBackend` (``backend="processes"``) - each worker is a child
+  **process** whose classifier is cloned exactly once at startup
+  (copy-on-write under the ``fork`` start method, one pickled copy under
+  ``spawn``).  The model's inference dtype (:mod:`repro.nn.compute`) rides
+  along in that startup payload; its prepared weights and scratch are not
+  pickled, and the child rebuilds them on its first forward.  Its inbox is
+  a :class:`~repro.core.transport.ShmRing` shared-memory ring of packed
+  records - raw frame or codeword bytes plus a compact header, never a
+  pickled NumPy object per frame - and its outbox a ``multiprocessing``
+  queue.
 
-Both backends provide the same invariants the service documents:
+Everything above the channel is written once, in :class:`_ShardBackend`.
+A worker ships its results per micro-batch as compact tuples, together with
+its engine's consistent :class:`~repro.core.engine.EngineStats` snapshot;
+it acks every barrier record (flush, model swap, stop) with a snapshot too,
+and reports its first exception as an ``error`` message.  The parent
+replays each shard's result stream into
+:class:`~repro.core.engine.SourceWindows` and
+:class:`~repro.core.lifecycle.DriftMonitor` replicas, which answer verdicts,
+sources and drift without a round trip to the worker.
+
+Both backends therefore provide the same invariants the service documents:
 
 * **routing stability** - the backend is handed a shard index computed from
   the stable source hash; one source never spans two shards;
 * **verdict parity** - a shard processes its sub-stream in submission order
   with the same micro-batching as a standalone engine, so per-frame results
   and windowed verdicts are bitwise identical to a single engine fed the
-  routed sub-stream.  The process backend replays each shard's result
-  stream into a parent-side :class:`~repro.core.engine.SourceWindows`
-  replica, which answers :meth:`verdict` without a cross-process round trip;
-* **bounded-queue backpressure** - ``queue_depth`` bounds each shard's
-  ingestion (queue slots for threads, shared-memory ring slots for
-  processes); a full shard blocks the submitter and the stall is counted in
-  ``queue_full_waits``;
-* **failure visibility** - a worker that raises (or a child process that
-  dies) surfaces as :class:`~repro.core.service.ServiceError` on the next
+  routed sub-stream;
+* **bounded-queue backpressure** - ``queue_depth`` bounds each inbox
+  (records for threads, shared-memory ring slots for processes); a full
+  inbox blocks the submitter, the stall is counted in ``queue_full_waits``
+  and the worker's liveness is polled while it lasts;
+* **failure visibility** - a worker that raises (or dies) surfaces as
+  :class:`~repro.core.service.ServiceError` on the next
   ``submit``/``flush``/``collect`` instead of a hang.
 """
 
@@ -51,7 +60,7 @@ import queue
 import threading
 from collections import deque
 from dataclasses import replace
-from typing import TYPE_CHECKING, Deque, Dict, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.engine import (
     EngineResult,
@@ -68,6 +77,7 @@ from repro.core.transport import (
     RECORD_FRAME,
     RECORD_MODEL_SWAP,
     RECORD_STOP,
+    ModelSwap,
     Record,
     ShmRing,
     pack_codeword_record,
@@ -89,67 +99,214 @@ class WorkerFailure(RuntimeError):
 
 
 # --------------------------------------------------------------------------- #
-# Thread backend
+# The shard worker
 # --------------------------------------------------------------------------- #
-class _FlushRequest:
-    """Control token: flush the shard engine, then signal ``done``."""
+def _decode(record: Record) -> Observation:
+    """Rebuild the observation a data record carries.
 
-    def __init__(self, stop: bool = False) -> None:
-        self.done = threading.Event()
-        self.stop = stop
-
-
-class _SwapRequest:
-    """Control token: install a model version at the shard's batch boundary."""
-
-    def __init__(self, version: ModelVersion) -> None:
-        self.done = threading.Event()
-        self.version = version
+    The engine reads the same payload, source and timestamp from it as from
+    the submitted original, so both backends classify identically.
+    """
+    if record.kind == RECORD_FRAME:
+        return FeedbackFrame(record.source, "", record.timestamp_s, record.payload)
+    assert record.kind == RECORD_CODEWORDS and record.quantized is not None
+    return record.quantized
 
 
-class _ThreadShard:
-    """One worker thread: a private engine, its queue and its bookkeeping."""
+def _shard_worker_main(
+    shard_index: int,
+    classifier: "DeepCsiClassifier",
+    engine_kwargs: dict,
+    inbox: Union["_RecordQueue", ShmRing],
+    outbox: "queue.SimpleQueue | multiprocessing.queues.Queue",
+) -> None:
+    """Run one shard: the only loop that drives a shard engine.
 
-    def __init__(self, index: int, engine: InferenceEngine, depth: int) -> None:
+    A thread shard runs it in a thread, a process shard in a child process.
+    It builds the private engine, then serves the inbox in order: data
+    records feed ``engine.submit``, a swap record installs the new model at
+    the batch boundary (everything buffered is classified under the old one
+    first), flush and stop records flush.  Results go back per micro-batch
+    as compact :class:`~repro.core.engine.EngineResult` field tuples stamped
+    with the service-wide sequence numbers, with the engine's consistent
+    stats snapshot; every barrier record is acked with its barrier id and a
+    snapshot.  The first exception fails the shard: it is reported as an
+    ``error`` message, and from then on the worker only acks barriers, so a
+    producer never blocks on a full inbox and no barrier hangs.
+    """
+
+    def report(exc: BaseException) -> None:
+        outbox.put(("error", shard_index, f"{type(exc).__name__}: {exc}"))
+
+    try:
+        engine = InferenceEngine(classifier, **engine_kwargs)
+    except BaseException as exc:  # noqa: BLE001 - reported upstream
+        report(exc)
+        return
+    sequences: Deque[int] = deque()
+    failed = False
+    while True:
+        record = inbox.get()
+        kind = record.kind
+        if not failed:
+            try:
+                if kind == RECORD_MODEL_SWAP:
+                    assert record.swap is not None
+                    batch = engine.install_model(
+                        ModelVersion(record.swap.version, record.swap.blob)
+                    )
+                elif kind in (RECORD_FLUSH, RECORD_STOP):
+                    batch = engine.flush()
+                else:
+                    sequences.append(record.sequence)
+                    batch = engine.submit(_decode(record), source=record.source)
+                if batch:
+                    compact = [
+                        (
+                            result.predicted_module_id,
+                            result.confidence,
+                            result.source,
+                            sequences.popleft(),
+                            result.timestamp_s,
+                            result.score,
+                            result.accepted,
+                            result.model_version,
+                        )
+                        for result in batch
+                    ]
+                    outbox.put(("results", shard_index, compact, engine.stats))
+            except BaseException as exc:  # noqa: BLE001 - reported upstream
+                failed = True
+                report(exc)
+        if kind not in (RECORD_FRAME, RECORD_CODEWORDS):
+            outbox.put(("ack", shard_index, record.sequence, engine.stats))
+            if kind == RECORD_STOP:
+                inbox.close()
+                return
+
+
+class _RecordQueue:
+    """A thread shard's inbox: a bounded in-process queue of records.
+
+    The in-process twin of :class:`~repro.core.transport.ShmRing`, with the
+    same ``put``/``get`` contract: ``put`` blocks while ``depth`` records
+    wait, calls ``on_wait`` once if it had to and polls ``liveness`` while
+    it waits.  The :class:`~repro.core.transport.Record` objects travel as
+    they are, never packed to bytes.
+    """
+
+    def __init__(self, depth: int) -> None:
+        self._queue: "queue.Queue[Record]" = queue.Queue(maxsize=depth)
+
+    def put(
+        self,
+        record: Record,
+        on_wait: Callable[[], None],
+        liveness: Callable[[], None],
+    ) -> None:
+        try:
+            self._queue.put_nowait(record)
+        except queue.Full:
+            on_wait()
+            while True:
+                try:
+                    self._queue.put(record, timeout=0.1)
+                    return
+                except queue.Full:
+                    liveness()
+
+    def get(self) -> Record:
+        return self._queue.get()
+
+    def close(self) -> None:
+        """Nothing to detach (a ring unmaps its segment here)."""
+
+
+class _Shard:
+    """Parent-side handle of one shard: its inbox and its worker."""
+
+    def __init__(
+        self,
+        index: int,
+        inbox: Union[_RecordQueue, ShmRing],
+        worker: Union[threading.Thread, multiprocessing.Process],
+    ) -> None:
         self.index = index
-        self.engine = engine
-        self.queue: "queue.Queue" = queue.Queue(maxsize=depth)
-        self.lock = threading.Lock()
-        #: Global sequence numbers of the observations handed to the engine,
-        #: in order; popped as the engine emits their results.
-        self.sequences: Deque[int] = deque()
-        self.thread: Optional[threading.Thread] = None
+        self.inbox = inbox
+        self.worker = worker
+        self.lock = threading.Lock()  # serialises producers on this inbox
+
+    @property
+    def process(self) -> multiprocessing.Process:
+        """The worker of a process shard (what the crash tests kill)."""
+        return self.worker
 
 
-class ThreadBackend:
-    """Shards as daemon threads over bounded queues (the PR-2 design)."""
+# --------------------------------------------------------------------------- #
+# Everything above the channel
+# --------------------------------------------------------------------------- #
+class _ShardBackend:
+    """Barriers, acks, failures and the parent-side replicas of both backends.
 
-    name = "threads"
+    A subclass starts one :func:`_shard_worker_main` per shard on its own
+    channel and says how records enter an inbox (:meth:`_encode`,
+    :meth:`_control`).
+    """
 
     def __init__(
         self,
         classifier: "DeepCsiClassifier",
         num_workers: int,
-        queue_depth: int,
         engine_kwargs: dict,
+        outbox: "queue.SimpleQueue | multiprocessing.queues.Queue",
     ) -> None:
+        self._outbox = outbox
         self._completed: Deque[EngineResult] = deque()
-        self._failure: Optional[BaseException] = None
+        self._failure: Optional[str] = None
         self._queue_full_waits = 0  # guarded-by: _counter_lock
+        #: Shards that acked each in-flight barrier, by barrier id.
+        self._acks: Dict[int, Set[int]] = {}
+        self._barrier_id = 0
+        self._drain_lock = threading.Lock()
         self._counter_lock = threading.Lock()
-        self.shards: List[_ThreadShard] = []
-        for index in range(num_workers):
-            engine = InferenceEngine(copy.deepcopy(classifier), **engine_kwargs)
-            shard = _ThreadShard(index, engine, queue_depth)
-            shard.thread = threading.Thread(
-                target=self._worker_loop,
-                args=(shard,),
-                name=f"repro-shard-{index}",
-                daemon=True,
+        self._lifecycle_lock = threading.Lock()
+        self._closed = False
+        # Parent-side replicas of every shard's result windows, drift monitor
+        # and stats, fed from its messages in arrival order, so they answer
+        # exactly what the shard's engine would.
+        drift = engine_kwargs["drift"]
+        self._windows = [  # guarded-by: _drain_lock
+            SourceWindows(
+                engine_kwargs["vote_window"],
+                engine_kwargs["max_sources"],
+                engine_kwargs["reject_streak"],
             )
-            self.shards.append(shard)
-        for shard in self.shards:
-            shard.thread.start()
+            for _ in range(num_workers)
+        ]
+        self._drift = [  # guarded-by: _drain_lock
+            DriftMonitor(drift) if drift is not None else None
+            for _ in range(num_workers)
+        ]
+        # Until each worker ships its first snapshot.  guarded-by: _drain_lock
+        self._stats = [
+            EngineStats(
+                compute=classifier.compute_name, precision=engine_kwargs["precision"]
+            )
+            for _ in range(num_workers)
+        ]
+        self.shards: List[_Shard] = []
+
+    def _encode(
+        self, sequence: int, observation: Observation, source: str
+    ) -> Union[Record, bytes]:
+        """The inbox record of one observation."""
+        raise NotImplementedError
+
+    def _control(
+        self, kind: int, barrier: int, swap: Optional[ModelSwap]
+    ) -> Union[Record, bytes]:
+        """The inbox record of one barrier: flush, stop or model swap."""
+        raise NotImplementedError
 
     # -- submission ---------------------------------------------------- #
     def submit(
@@ -159,44 +316,86 @@ class ThreadBackend:
         observation: Observation,
         source: str,
     ) -> None:
-        shard = self.shards[shard_index]
-        item = (sequence, observation, source)
-        try:
-            shard.queue.put_nowait(item)
-        except queue.Full:
-            with self._counter_lock:
-                self._queue_full_waits += 1
-            shard.queue.put(item)
+        # No drain here: the service's failure check before every submit
+        # (raise_if_failed) already polled the outbox for this call.
+        self._put(self.shards[shard_index], self._encode(sequence, observation, source))
+
+    def _put(self, shard: _Shard, record: Union[Record, bytes]) -> None:
+        with shard.lock:
+            shard.inbox.put(
+                record,
+                on_wait=self._count_backpressure,
+                liveness=lambda: self._check_alive(shard),
+            )
+
+    def _count_backpressure(self) -> None:
+        with self._counter_lock:
+            self._queue_full_waits += 1
+
+    def _check_alive(self, shard: _Shard) -> None:
+        worker = shard.worker
+        if worker.is_alive():
+            return
+        if self._failure is None:
+            exitcode = getattr(worker, "exitcode", None)  # processes only
+            self._failure = f"shard worker {shard.index} died" + (
+                "" if exitcode is None else f" (exit code {exitcode})"
+            )
+        raise WorkerFailure(self._failure)
 
     def flush(self) -> None:
-        requests = []
-        for shard in self.shards:
-            request = _FlushRequest()
-            shard.queue.put(request)
-            requests.append(request)
-        for request in requests:
-            request.done.wait()
+        self._barrier(RECORD_FLUSH)
 
     def swap(self, version: ModelVersion) -> None:
-        """Install a model version into every shard at a batch boundary.
+        """Install a model version into every shard at its batch boundary.
 
-        Each shard decodes its own classifier from the version's blob and
-        flushes its buffered frames under the old one first (inside
-        :meth:`InferenceEngine.install_model`), so no frame is dropped and
-        none is split across versions.  The swap token rides the
-        same queue as the frames, which orders it against in-flight
-        submissions exactly like the process backend's ring record.
+        The swap record rides each inbox behind the frames submitted before
+        it, which gives every shard its epoch barrier for free: the worker
+        classifies those under the old model first.  Blocks until every
+        shard acks; a dead worker raises instead of hanging the barrier.
         """
-        requests = []
-        for shard in self.shards:
-            request = _SwapRequest(version)
-            shard.queue.put(request)
-            requests.append(request)
-        for request in requests:
-            request.done.wait()
+        self._barrier(RECORD_MODEL_SWAP, ModelSwap(version.version, version.blob))
         self.raise_if_failed()
 
+    def _barrier(
+        self,
+        kind: int,
+        swap: Optional[ModelSwap] = None,
+        patience: Optional[int] = None,
+    ) -> None:
+        """Send one barrier record to every shard and wait for every ack.
+
+        A worker that dies before acking raises :class:`WorkerFailure`, and
+        so does a barrier still unacked after ``patience`` quiet polls of
+        0.1 s each.
+        """
+        with self._lifecycle_lock:
+            self._barrier_id += 1
+            barrier = self._barrier_id
+            acks = self._acks[barrier] = set()
+            try:
+                record = self._control(kind, barrier, swap)
+                for shard in self.shards:
+                    self._put(shard, record)
+                while len(acks) < len(self.shards):
+                    # A worker's messages reach the outbox before it exits,
+                    # so one dead before a quiet drain will never ack.
+                    dead = [shard for shard in self.shards if not shard.worker.is_alive()]
+                    if self._drain(block=True):
+                        continue
+                    for shard in dead:
+                        if shard.index not in acks:
+                            self._check_alive(shard)
+                    if patience is not None:
+                        patience -= 1
+                        if patience == 0:
+                            raise WorkerFailure("the shard workers did not ack in time")
+            finally:
+                del self._acks[barrier]
+
     def poll(self) -> List[EngineResult]:
+        # The service's failure check before every collect (raise_if_failed)
+        # already polled the outbox for this call.
         results: List[EngineResult] = []
         while True:
             try:
@@ -204,23 +403,61 @@ class ThreadBackend:
             except IndexError:
                 return results
 
+    # -- result return path --------------------------------------------- #
+    def _drain(self, block: bool) -> bool:
+        """Dispatch the queued worker messages; returns True if any were seen.
+
+        One thread drains at a time, so the replicas replay each shard's
+        messages in arrival order; a non-blocking drain skips when another
+        thread is draining, a blocking one waits up to 0.1 s for a message.
+        """
+        if self._closed or (not block and self._drain_lock.locked()):
+            return False
+        with self._drain_lock:
+            seen = False
+            while True:
+                try:
+                    if block and not seen:
+                        message = self._outbox.get(timeout=0.1)
+                    else:
+                        message = self._outbox.get_nowait()
+                except queue.Empty:
+                    return seen
+                seen = True
+                kind, index = message[0], message[1]
+                if kind == "results":
+                    _, _, compact, self._stats[index] = message
+                    windows, drift = self._windows[index], self._drift[index]
+                    for fields in compact:
+                        result = EngineResult(*fields)
+                        self._completed.append(result)
+                        windows.append(result)
+                        if drift is not None:
+                            drift.observe(result.source, result.score)
+                elif kind == "ack":
+                    _, _, barrier, self._stats[index] = message
+                    acks = self._acks.get(barrier)
+                    if acks is not None:
+                        acks.add(index)
+                elif self._failure is None:  # "error"
+                    self._failure = f"shard worker {index} failed: {message[2]}"
+
     # -- introspection -------------------------------------------------- #
     def verdict(self, shard_index: int, source: str) -> MajorityVerdict:
-        shard = self.shards[shard_index]
-        with shard.lock:
-            return shard.engine.verdict(source)
+        self._drain(block=False)
+        with self._drain_lock:
+            return self._windows[shard_index].verdict(source)
 
     def sources(self) -> List[str]:
-        names: List[str] = []
-        for shard in self.shards:
-            with shard.lock:
-                names.extend(shard.engine.sources)
+        self._drain(block=False)
+        with self._drain_lock:
+            names = [name for windows in self._windows for name in windows.sources]
         return sorted(names)
 
     def worker_stats(self) -> Tuple[EngineStats, ...]:
-        # engine.stats is already a consistent snapshot (single writer,
-        # published under the engine's stats lock).
-        return tuple(shard.engine.stats for shard in self.shards)
+        self._drain(block=False)
+        with self._drain_lock:
+            return tuple(replace(stats) for stats in self._stats)
 
     def drift_snapshot(self) -> Tuple[DriftStatus, ...]:
         """Per-source drift state across all shards, sorted by source.
@@ -228,9 +465,12 @@ class ThreadBackend:
         Routing pins every source to one shard, so the per-shard snapshots
         are disjoint and merging is a plain sorted concatenation.
         """
+        self._drain(block=False)
         merged: List[DriftStatus] = []
-        for shard in self.shards:
-            merged.extend(shard.engine.drift_snapshot())
+        with self._drain_lock:
+            for drift in self._drift:
+                if drift is not None:
+                    merged.extend(drift.snapshot())
         return tuple(sorted(merged, key=lambda status: status.source))
 
     @property
@@ -240,202 +480,81 @@ class ThreadBackend:
         return waits
 
     def raise_if_failed(self) -> None:
+        """Poll the outbox once, then raise if a worker has failed.
+
+        The service calls this first in every ``submit``, ``flush`` and
+        ``collect``, so it is also the one opportunistic drain of those
+        calls: the outbox never holds a whole run's results, and a failed
+        worker's error message surfaces at the next call.
+        """
+        self._drain(block=False)
         if self._failure is not None:
-            raise WorkerFailure(str(self._failure)) from self._failure
+            raise WorkerFailure(self._failure)
 
     # -- lifecycle ------------------------------------------------------ #
     def close(self) -> None:
-        requests = []
-        for shard in self.shards:
-            request = _FlushRequest(stop=True)
-            shard.queue.put(request)
-            requests.append(request)
-        for request in requests:
-            request.done.wait()
-        for shard in self.shards:
-            shard.thread.join()
+        """Stop the workers (each flushes first), join them, free the channels.
 
-    # -- worker side ----------------------------------------------------- #
-    def _worker_loop(self, shard: _ThreadShard) -> None:
-        while True:
-            # Drain greedily: after the blocking get, grab everything already
-            # queued so one thread wake-up handles a whole run of items (far
-            # fewer queue handshakes and context switches per frame).
-            items = [shard.queue.get()]
-            while True:
-                try:
-                    items.append(shard.queue.get_nowait())
-                except queue.Empty:
-                    break
-            for item in items:
-                if self._handle(shard, item):
-                    return
-
-    def _handle(self, shard: _ThreadShard, item: object) -> bool:
-        """Process one queued item; returns True when the worker must stop."""
-        if isinstance(item, _FlushRequest):
-            try:
-                if self._failure is None:
-                    with shard.lock:
-                        results = shard.engine.flush()
-                    self._emit(shard, results)
-            except BaseException as exc:  # noqa: BLE001 - reported upstream
-                self._failure = exc
-                shard.sequences.clear()
-            finally:
-                item.done.set()
-            return item.stop
-        if isinstance(item, _SwapRequest):
-            try:
-                if self._failure is None:
-                    with shard.lock:
-                        results = shard.engine.install_model(item.version)
-                    self._emit(shard, results)
-            except BaseException as exc:  # noqa: BLE001 - reported upstream
-                self._failure = exc
-                shard.sequences.clear()
-            finally:
-                item.done.set()
-            return False
-        if self._failure is not None:
-            # A shard already failed: keep draining so submitters never
-            # deadlock on a full queue, but stop doing work.
-            return False
-        sequence, observation, source = item
-        try:
-            shard.sequences.append(sequence)
-            with shard.lock:
-                results = shard.engine.submit(observation, source=source)
-            self._emit(shard, results)
-        except BaseException as exc:  # noqa: BLE001 - reported upstream
-            self._failure = exc
-            shard.sequences.clear()
-        return False
-
-    def _emit(self, shard: _ThreadShard, results: List[EngineResult]) -> None:
-        """Re-stamp engine-local sequences with the service-wide ones."""
-        for result in results:
-            self._completed.append(
-                replace(result, sequence=shard.sequences.popleft())
-            )
-
-
-# --------------------------------------------------------------------------- #
-# Process backend
-# --------------------------------------------------------------------------- #
-def _shard_worker_main(
-    shard_index: int,
-    classifier: "DeepCsiClassifier",
-    engine_kwargs: dict,
-    ring: ShmRing,
-    results: "multiprocessing.queues.Queue",
-) -> None:
-    """Entry point of one shard worker process.
-
-    Builds the private engine (the one-time weight clone), then loops over
-    the shared-memory ring: observation records feed the engine through the
-    same submission path as the thread backend, control records flush/stop.
-    Results are re-stamped with the service-wide sequence numbers and shipped
-    back per micro-batch, together with the engine's consistent
-    :attr:`~repro.core.engine.InferenceEngine.stats` snapshot.
-    """
-    engine = InferenceEngine(classifier, **engine_kwargs)
-    sequences: Deque[int] = deque()
-    failed = False
-
-    def ship(batch: List[EngineResult]) -> None:
-        if not batch:
+        Best effort: a dead worker must not leave the parent hanging (or a
+        shared-memory segment linked), so a failed stop barrier still ends
+        in :meth:`_release` instead of raising.  Completed results, verdicts
+        and stats stay readable afterwards.
+        """
+        if self._closed:
             return
-        compact = [
-            (
-                sequences.popleft(),
-                result.predicted_module_id,
-                result.confidence,
-                result.source,
-                result.timestamp_s,
-                result.score,
-                result.accepted,
-                result.model_version,
-            )
-            for result in batch
-        ]
-        results.put(("results", shard_index, compact, engine.stats))
-
-    while True:
-        record = ring.get()
-        if record.kind == RECORD_MODEL_SWAP:
-            # A swap is an epoch barrier exactly like a flush: everything
-            # buffered is classified under the old weights (and shipped),
-            # then the new version is installed.  The ack goes back even on
-            # a failed shard so the parent's swap barrier never hangs.
-            swap = record.swap
-            assert swap is not None
-            if not failed:
-                try:
-                    ship(engine.install_model(ModelVersion(swap.version, swap.blob)))
-                except BaseException as exc:  # noqa: BLE001 - reported upstream
-                    failed = True
-                    sequences.clear()
-                    results.put(
-                        ("error", shard_index, f"{type(exc).__name__}: {exc}")
-                    )
-            results.put(("swapped", shard_index, swap.version, engine.stats))
-            continue
-        if record.kind in (RECORD_FLUSH, RECORD_STOP):
-            if not failed:
-                try:
-                    ship(engine.flush())
-                except BaseException as exc:  # noqa: BLE001 - reported upstream
-                    failed = True
-                    sequences.clear()
-                    results.put(
-                        ("error", shard_index, f"{type(exc).__name__}: {exc}")
-                    )
-            if record.kind == RECORD_STOP:
-                results.put(("stopped", shard_index, engine.stats))
-                ring.close()
-                return
-            results.put(("flushed", shard_index, record.sequence, engine.stats))
-            continue
-        if failed:
-            # Keep consuming so the producer never deadlocks on a full ring.
-            continue
         try:
-            sequences.append(record.sequence)
-            observation = ProcessBackend._decode(record)
-            ship(engine.submit(observation, source=record.source))
-        except BaseException as exc:  # noqa: BLE001 - reported upstream
-            failed = True
-            sequences.clear()
-            results.put(("error", shard_index, f"{type(exc).__name__}: {exc}"))
+            self._barrier(RECORD_STOP, patience=100)
+        except Exception:  # noqa: BLE001 - a dead worker; still clean up
+            pass
+        finally:
+            self._closed = True  # from here on, drains leave the outbox alone
+            self._release()
+
+    def _release(self) -> None:
+        for shard in self.shards:
+            shard.worker.join(timeout=5.0)
 
 
-class _ProcessShard:
-    """Parent-side handle of one worker process."""
+class ThreadBackend(_ShardBackend):
+    """Shard workers as daemon threads fed through in-process record queues."""
 
     def __init__(
         self,
-        index: int,
-        ring: ShmRing,
-        windows: SourceWindows,
-        drift: Optional[DriftMonitor] = None,
+        classifier: "DeepCsiClassifier",
+        num_workers: int,
+        queue_depth: int,
+        engine_kwargs: dict,
     ) -> None:
-        self.index = index
-        self.ring = ring
-        self.windows = windows
-        #: Parent-side drift replica, fed from the replayed result stream in
-        #: arrival order -- identical trajectories to the worker's monitor.
-        self.drift = drift
-        self.process: Optional[multiprocessing.Process] = None
-        self.stats = EngineStats()
-        self.lock = threading.Lock()  # serialises producers on this ring
-        self.stopped = False
+        super().__init__(classifier, num_workers, engine_kwargs, queue.SimpleQueue())
+        for index in range(num_workers):
+            inbox = _RecordQueue(queue_depth)
+            worker = threading.Thread(
+                target=_shard_worker_main,
+                args=(index, copy.deepcopy(classifier), engine_kwargs, inbox, self._outbox),
+                name=f"repro-shard-{index}",
+                daemon=True,
+            )
+            self.shards.append(_Shard(index, inbox, worker))
+        for shard in self.shards:
+            shard.worker.start()
+
+    def _encode(self, sequence: int, observation: Observation, source: str) -> Record:
+        if isinstance(observation, FeedbackFrame):
+            return Record(
+                RECORD_FRAME,
+                sequence,
+                source,
+                observation.timestamp_s,
+                payload=observation.payload,
+            )
+        return Record(RECORD_CODEWORDS, sequence, source, 0.0, quantized=observation)
+
+    def _control(self, kind: int, barrier: int, swap: Optional[ModelSwap]) -> Record:
+        return Record(kind, barrier, "", 0.0, swap=swap)
 
 
-class ProcessBackend:
-    """Shards as child processes fed through shared-memory ring buffers."""
-
-    name = "processes"
+class ProcessBackend(_ShardBackend):
+    """Shard workers as child processes fed through shared-memory rings."""
 
     #: Default ring slot size.  A paper-geometry frame or codeword record
     #: (~3 KB) takes one slot; a model-swap blob spans consecutive slots,
@@ -455,88 +574,30 @@ class ProcessBackend:
         # (the "weights cloned once at startup" contract); spawn is the
         # portable fallback and pickles it once per worker instead.
         methods = multiprocessing.get_all_start_methods()
-        self._context = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn"
-        )
-        self._results_queue = self._context.Queue()
-        self._completed: Deque[EngineResult] = deque()
-        self._failure: Optional[str] = None
-        self._queue_full_waits = 0  # guarded-by: _counter_lock
-        self._flush_acks: Dict[int, set] = {}
-        self._swap_acks: Dict[int, set] = {}
-        self._stopped_shards: set = set()
-        self._flush_id = 0
-        self._drain_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        self._lifecycle_lock = threading.Lock()
-        self._closed = False
-        vote_window = engine_kwargs.get("vote_window", 16)
-        max_sources = engine_kwargs.get("max_sources", 1024)
-        reject_streak = engine_kwargs.get("reject_streak", 3)
-        drift_config = engine_kwargs.get("drift")
+        context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+        super().__init__(classifier, num_workers, engine_kwargs, context.Queue())
         slot_bytes = self.DEFAULT_SLOT_BYTES if slot_bytes is None else slot_bytes
-        self.shards: List[_ProcessShard] = []
         try:
             for index in range(num_workers):
-                ring = ShmRing(self._context, queue_depth, slot_bytes)
-                shard = _ProcessShard(
-                    index,
-                    ring,
-                    SourceWindows(vote_window, max_sources, reject_streak),
-                    drift=(
-                        DriftMonitor(drift_config)
-                        if drift_config is not None
-                        else None
-                    ),
-                )
-                # Until the worker ships its first snapshot.
-                shard.stats = EngineStats(
-                    compute=classifier.compute_name,
-                    precision=engine_kwargs.get("precision", "exact"),
-                )
-                shard.process = self._context.Process(
+                ring = ShmRing(context, queue_depth, slot_bytes)
+                worker = context.Process(
                     target=_shard_worker_main,
-                    args=(
-                        index,
-                        classifier,
-                        engine_kwargs,
-                        ring,
-                        self._results_queue,
-                    ),
+                    args=(index, classifier, engine_kwargs, ring, self._outbox),
                     name=f"repro-shard-{index}",
                     daemon=True,
                 )
-                self.shards.append(shard)
+                self.shards.append(_Shard(index, ring, worker))
             for shard in self.shards:
-                shard.process.start()
+                shard.worker.start()
         except BaseException:
             for shard in self.shards:
-                shard.ring.unlink()
+                shard.inbox.unlink()
             raise
 
     @property
     def segment_names(self) -> List[str]:
         """Shared-memory segment names (exposed for the leak tests)."""
-        return [shard.ring.name for shard in self.shards]
-
-    # -- submission ---------------------------------------------------- #
-    def submit(
-        self,
-        shard_index: int,
-        sequence: int,
-        observation: Observation,
-        source: str,
-    ) -> None:
-        # No drain here: the service's failure check before every submit
-        # (raise_if_failed) already polled the result queue for this call.
-        record = self._encode(sequence, observation, source)
-        shard = self.shards[shard_index]
-        with shard.lock:
-            shard.ring.put(
-                record,
-                on_wait=self._count_backpressure,
-                liveness=lambda: self._check_worker_alive(shard),
-            )
+        return [shard.inbox.name for shard in self.shards]
 
     def _encode(self, sequence: int, observation: Observation, source: str) -> bytes:
         if isinstance(observation, FeedbackFrame):
@@ -547,256 +608,21 @@ class ProcessBackend:
         # engine reconstructs on its own arena.
         return pack_codeword_record(sequence, source, 0.0, observation)
 
-    @staticmethod
-    def _decode(record: Record) -> Observation:
-        """Worker side: rebuild an observation :meth:`_encode` packed.
+    def _control(self, kind: int, barrier: int, swap: Optional[ModelSwap]) -> bytes:
+        if swap is not None:
+            return pack_model_swap_record(barrier, swap.version, swap.blob)
+        return pack_control_record(kind, barrier)
 
-        The engine reads the same payload, source and timestamp from it as
-        from the submitted original, so both backends classify identically.
-        """
-        if record.kind == RECORD_FRAME:
-            return FeedbackFrame(record.source, "", record.timestamp_s, record.payload)
-        assert record.kind == RECORD_CODEWORDS and record.quantized is not None
-        return record.quantized
-
-    def _count_backpressure(self) -> None:
-        with self._counter_lock:
-            self._queue_full_waits += 1
-
-    def _check_worker_alive(self, shard: _ProcessShard) -> None:
-        process = shard.process
-        if process is not None and not process.is_alive():
-            self._failure = (
-                f"worker process {shard.index} died "
-                f"(exit code {process.exitcode})"
-            )
-            raise WorkerFailure(self._failure)
-
-    def _check_all_alive(self) -> None:
+    def _release(self) -> None:
+        """Join the children (terminating stragglers) and unlink every ring."""
+        super()._release()
         for shard in self.shards:
-            if not shard.stopped:
-                self._check_worker_alive(shard)
-
-    def flush(self) -> None:
-        with self._lifecycle_lock:
-            self._flush_id += 1
-            flush_id = self._flush_id
-            self._flush_acks[flush_id] = set()
-            for shard in self.shards:
-                with shard.lock:
-                    shard.ring.put(
-                        pack_control_record(RECORD_FLUSH, flush_id),
-                        on_wait=self._count_backpressure,
-                        liveness=lambda shard=shard: self._check_worker_alive(
-                            shard
-                        ),
-                    )
-            while len(self._flush_acks[flush_id]) < len(self.shards):
-                if not self._drain(block=True):
-                    self._check_all_alive()
-            del self._flush_acks[flush_id]
-
-    def swap(self, version: ModelVersion) -> None:
-        """Install a model version into every worker process.
-
-        The version's blob is enqueued on every shard's ring as a
-        :data:`RECORD_MODEL_SWAP` record; FIFO ordering against in-flight
-        frame records gives each shard its epoch barrier for free.  Blocks
-        until every live shard acks the install (a dead worker raises
-        instead of hanging the barrier).
-        """
-        record = pack_model_swap_record(0, version.version, version.blob)
-        with self._lifecycle_lock:
-            acks = self._swap_acks.setdefault(version.version, set())
-            try:
-                for shard in self.shards:
-                    with shard.lock:
-                        shard.ring.put(
-                            record,
-                            on_wait=self._count_backpressure,
-                            liveness=lambda shard=shard: self._check_worker_alive(
-                                shard
-                            ),
-                        )
-                while len(acks) < len(self.shards):
-                    if not self._drain(block=True):
-                        self._check_all_alive()
-            finally:
-                self._swap_acks.pop(version.version, None)
-        self.raise_if_failed()
-
-    def poll(self) -> List[EngineResult]:
-        # The service's failure check before every collect (raise_if_failed)
-        # already polled the result queue for this call.
-        results: List[EngineResult] = []
-        while True:
-            try:
-                results.append(self._completed.popleft())
-            except IndexError:
-                return results
-
-    # -- result return path --------------------------------------------- #
-    def _drain(self, block: bool) -> bool:
-        """Process queued worker messages; returns True if any were seen.
-
-        Only one thread drains at a time; opportunistic (non-blocking)
-        drains simply skip when another thread already holds the lock.
-        """
-        if block:
-            self._drain_lock.acquire()
-        elif not self._drain_lock.acquire(blocking=False):
-            return False
-        seen = False
-        try:
-            while True:
-                try:
-                    if block and not seen:
-                        message = self._results_queue.get(timeout=0.1)
-                    else:
-                        message = self._results_queue.get_nowait()
-                except queue.Empty:
-                    return seen
-                seen = True
-                self._dispatch(message)
-        finally:
-            self._drain_lock.release()
-
-    def _dispatch(self, message: tuple) -> None:
-        kind, shard_index = message[0], message[1]
-        shard = self.shards[shard_index]
-        if kind == "results":
-            _, _, compact, shard.stats = message
-            for (
-                sequence,
-                module_id,
-                confidence,
-                source,
-                timestamp_s,
-                score,
-                accepted,
-                model_version,
-            ) in compact:
-                result = EngineResult(
-                    predicted_module_id=module_id,
-                    confidence=confidence,
-                    source=source,
-                    sequence=sequence,
-                    timestamp_s=timestamp_s,
-                    score=score,
-                    accepted=accepted,
-                    model_version=model_version,
-                )
-                self._completed.append(result)
-                # Replay into the parent-side window replica so verdicts are
-                # answered locally with the exact shard-engine semantics.
-                shard.windows.append(result)
-                if shard.drift is not None:
-                    shard.drift.observe(source, score)
-        elif kind == "flushed":
-            _, _, flush_id, shard.stats = message
-            acks = self._flush_acks.get(flush_id)
-            if acks is not None:
-                acks.add(shard_index)
-        elif kind == "swapped":
-            _, _, swap_version, shard.stats = message
-            acks = self._swap_acks.get(swap_version)
-            if acks is not None:
-                acks.add(shard_index)
-        elif kind == "stopped":
-            _, _, shard.stats = message
-            shard.stopped = True
-            self._stopped_shards.add(shard_index)
-        elif kind == "error":
-            _, _, text = message
-            if self._failure is None:
-                self._failure = f"worker process {shard_index} failed: {text}"
-
-    # -- introspection -------------------------------------------------- #
-    def verdict(self, shard_index: int, source: str) -> MajorityVerdict:
-        self._drain(block=False)
-        return self.shards[shard_index].windows.verdict(source)
-
-    def sources(self) -> List[str]:
-        self._drain(block=False)
-        names: List[str] = []
-        for shard in self.shards:
-            names.extend(shard.windows.sources)
-        return sorted(names)
-
-    def worker_stats(self) -> Tuple[EngineStats, ...]:
-        self._drain(block=False)
-        return tuple(replace(shard.stats) for shard in self.shards)
-
-    def drift_snapshot(self) -> Tuple[DriftStatus, ...]:
-        """Per-source drift state from the parent-side replicas."""
-        self._drain(block=False)
-        merged: List[DriftStatus] = []
-        for shard in self.shards:
-            if shard.drift is not None:
-                merged.extend(shard.drift.snapshot())
-        return tuple(sorted(merged, key=lambda status: status.source))
-
-    @property
-    def queue_full_waits(self) -> int:
-        with self._counter_lock:
-            waits = self._queue_full_waits
-        return waits
-
-    def raise_if_failed(self) -> None:
-        """Poll the result queue once, then raise if a worker has failed.
-
-        The service calls this first in every ``submit``, ``flush`` and
-        ``collect``, so it is also the one opportunistic drain of those
-        calls: the queue never holds a whole run's results, and a failed
-        worker's error message surfaces at the next call.
-        """
-        self._drain(block=False)
-        if self._failure is not None:
-            raise WorkerFailure(self._failure)
-
-    # -- lifecycle ------------------------------------------------------ #
-    def close(self) -> None:
-        """Stop the workers, join them and release every shm segment.
-
-        Best effort: a crashed worker must not leave the parent hanging or
-        the shared-memory segments linked, so every step degrades to
-        terminate + unlink instead of raising.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            for shard in self.shards:
-                try:
-                    with shard.lock:
-                        shard.ring.put(
-                            pack_control_record(RECORD_STOP),
-                            liveness=lambda shard=shard: self._check_worker_alive(
-                                shard
-                            ),
-                        )
-                except Exception:  # noqa: BLE001 - dead worker; still clean up
-                    continue
-            deadline = 100  # x 0.1s drain timeout = 10s overall bound
-            while len(self._stopped_shards) < len(self.shards) and deadline > 0:
-                if not self._drain(block=True):
-                    deadline -= 1
-                    if any(
-                        not shard.stopped and not shard.process.is_alive()
-                        for shard in self.shards
-                    ):
-                        break
-        finally:
-            for shard in self.shards:
-                if shard.process is not None:
-                    shard.process.join(timeout=5.0)
-                    if shard.process.is_alive():  # pragma: no cover - safety
-                        shard.process.terminate()
-                        shard.process.join(timeout=5.0)
-            for shard in self.shards:
-                shard.ring.unlink()
-            self._results_queue.close()
-            self._results_queue.join_thread()
+            if shard.worker.is_alive():  # pragma: no cover - safety
+                shard.worker.terminate()
+                shard.worker.join(timeout=5.0)
+            shard.inbox.unlink()
+        self._outbox.close()
+        self._outbox.join_thread()
 
 
 def make_backend(

@@ -14,11 +14,13 @@ out:
   address (:func:`shard_for_source`).  One source never spans two shards,
   which preserves the per-source ring-buffer and majority-verdict semantics
   of the single engine exactly;
-* **where the shards run is pluggable** (:mod:`repro.core.backends`):
-  ``backend="threads"`` keeps them as worker threads in this process,
-  ``backend="processes"`` moves each shard into a child process fed through
-  a shared-memory ring buffer (:mod:`repro.core.transport`), which breaks
-  the GIL ceiling on multi-core hosts;
+* **where the shards run is pluggable** (:mod:`repro.core.backends`): every
+  shard runs the same worker loop, and only its channel differs.
+  ``backend="threads"`` runs it in a worker thread fed through a bounded
+  in-process queue of records; ``backend="processes"`` runs it in a child
+  process fed through a shared-memory ring buffer
+  (:mod:`repro.core.transport`), which breaks the GIL ceiling on multi-core
+  hosts;
 * ingestion is asynchronous: :meth:`StreamingService.submit` enqueues the
   observation into the shard's bounded queue/ring and returns immediately.
   When a shard is full the submitter blocks (backpressure) instead of
@@ -29,8 +31,8 @@ out:
   single engine;
 * :attr:`StreamingService.stats` aggregates the per-shard
   :class:`~repro.core.engine.EngineStats` into service-level throughput and
-  latency counters (for process shards, from the consistent snapshots the
-  workers ship with their results).
+  latency counters, from the consistent snapshots the shard workers ship
+  with their results and barrier acks.
 
 Because each shard batches the traffic of *all* the sources hashed to it,
 the service amortises the per-batch cost across sources: many low-rate
@@ -145,8 +147,8 @@ def shard_for_source(source: str, num_shards: int) -> int:
 class ServiceStats:
     """Aggregated throughput counters of one :class:`StreamingService`.
 
-    A snapshot: reading :attr:`StreamingService.stats` sums the per-shard
-    :class:`~repro.core.engine.EngineStats` at that instant.
+    A snapshot: reading :attr:`StreamingService.stats` sums the latest
+    per-shard :class:`~repro.core.engine.EngineStats` the workers shipped.
 
     Attributes
     ----------
@@ -257,9 +259,10 @@ class StreamingService:
         ``"processes"`` (shards as child processes fed through shared-memory
         ring buffers; see :mod:`repro.core.backends`).
     queue_depth:
-        Bound of each shard's ingestion queue (thread backend) or
-        shared-memory ring, in slots (process backend).  A full shard blocks
-        the submitter (backpressure) instead of buffering without limit.
+        Bound of each shard's inbox: records in its in-process queue
+        (thread backend) or slots of its shared-memory ring (process
+        backend).  A full shard blocks the submitter (backpressure) instead
+        of buffering without limit.
     batch_size / max_latency_frames / vote_window / max_sources:
         Forwarded to every shard's :class:`~repro.core.engine.InferenceEngine`.
         ``max_sources`` bounds the ring buffers *per shard*, so the service
@@ -467,9 +470,9 @@ class StreamingService:
 
         The swap is an epoch barrier per shard, not service-wide: each shard
         flushes its buffered frames under the old classifier at its own batch
-        boundary (thread shards via a queued control token, process shards
-        via a :data:`~repro.core.transport.RECORD_MODEL_SWAP` ring record
-        that is FIFO-ordered against in-flight frames).  No frame is dropped,
+        boundary, via a :data:`~repro.core.transport.RECORD_MODEL_SWAP`
+        record that its inbox orders FIFO against in-flight frames on either
+        backend.  No frame is dropped,
         every frame is classified entirely by one version, and the
         ``model_version`` stamped on results/verdicts never decreases.
 
@@ -551,8 +554,9 @@ class StreamingService:
 
         The vote runs over the single shard that owns the source, so it is
         identical to the verdict a single shared engine would produce for
-        the same per-source result stream (the process backend answers it
-        from a parent-side replica of the shard's result windows).
+        the same per-source result stream.  It is answered from a
+        parent-side replica of the shard's result windows, which holds the
+        results received so far.
         """
         key = ANONYMOUS_SOURCE if source is None else source
         shard_index = shard_for_source(key, self.num_workers)
@@ -575,7 +579,14 @@ class StreamingService:
 
     @property
     def stats(self) -> ServiceStats:
-        """Aggregated service-level counters (a point-in-time snapshot)."""
+        """Aggregated service-level counters (a point-in-time snapshot).
+
+        Every shard worker ships its engine's stats with each micro-batch of
+        results and with every barrier ack.  After a barrier
+        (:meth:`flush`, :meth:`swap_model` or :meth:`close`) the per-shard
+        counters are therefore exact; between barriers they may lag by the
+        results not yet received, on either backend.
+        """
         worker_stats = self._backend.worker_stats()
         with self._submit_lock:
             frames_in = self._frames_in

@@ -19,27 +19,28 @@ a ``multiprocessing.shared_memory`` segment:
   no pickling anywhere on the frame path;
 * free/filled accounting uses two ``multiprocessing`` semaphores, which
   double as the backpressure mechanism: a full ring blocks the producer
-  exactly like the bounded ``queue.Queue`` of the thread backend;
+  exactly like the bounded in-process record queue of a thread shard;
 * the producer-side blocking wait takes a ``liveness`` callback so a dead
   consumer process surfaces as an error instead of a hang.
 
-Record kinds:
+Record kinds (the worker acks every control record with its echoed
+``sequence``, which the parent uses as a barrier id):
 
 ========================  ====================================================
 :data:`RECORD_FRAME`      a raw VHT action-frame payload (quantised angles)
-:data:`RECORD_FLUSH`      control: flush the shard engine, ack with the
-                          echoed ``sequence`` (used as a flush generation id)
+:data:`RECORD_FLUSH`      control: flush the shard engine, then ack
 :data:`RECORD_STOP`       control: flush, ack and exit the worker loop
 :data:`RECORD_CODEWORDS`  integer angle codewords + quantisation config
 :data:`RECORD_MODEL_SWAP` control: install the model artifact of a
-                          :class:`~repro.core.lifecycle.ModelVersion`, ack
-                          with the version number
+                          :class:`~repro.core.lifecycle.ModelVersion`, then
+                          ack
 ========================  ====================================================
 
 The payload of :data:`RECORD_FRAME` is the packed angle report exactly as it
-was on the air.  The worker rebuilds the frame from it and hands it to the
-same ``InferenceEngine.submit`` as the thread backend, which parses it to
-codewords - the bitwise verdict-parity invariant holds by construction.
+was on the air.  The shard worker, the same loop a thread shard runs on
+unpacked :class:`Record` objects, rebuilds the frame from it and hands it to
+``InferenceEngine.submit``, which parses it to codewords - the bitwise
+verdict-parity invariant holds by construction.
 
 :data:`RECORD_CODEWORDS` is the codeword-native wire form: a 7-byte config
 subheader (:data:`_CODEWORD_HEADER`: ``b_phi``, ``b_psi``, ``strict``,
@@ -114,9 +115,9 @@ class ModelSwap:
 
     The transport layer stays ignorant of the blob's structure: ``blob`` is
     the opaque model artifact of a :class:`~repro.core.lifecycle.ModelVersion`,
-    while ``version`` is lifted into the subheader so the consumer can ack
-    (and the lifecycle layer cross-check it against the blob's stamp)
-    without decoding the model first.
+    while ``version`` is lifted into the subheader so the consumer can
+    rebuild the version (and the lifecycle layer cross-check it against the
+    blob's stamp) without decoding the model first.
     """
 
     version: int
@@ -300,7 +301,8 @@ class ShmRing:
         sides (must be the same context the worker process is spawned from).
     num_slots:
         Ring capacity in slots; doubles as the backpressure bound (the
-        process-backend analogue of the thread backend's ``queue_depth``).
+        service's ``queue_depth``, which bounds a thread shard's inbox in
+        records).
     slot_bytes:
         Slot size.  Records larger than one slot span consecutive slots; a
         record may use at most ``num_slots`` of them.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
-from repro.core.backends import ProcessBackend
+from repro.core.backends import _decode
 from repro.core.engine import (
     ANONYMOUS_SOURCE,
     UNKNOWN_MODULE_ID,
@@ -281,7 +281,7 @@ class TestObservationForms:
             source = f"sta:{index % 2}"
             expected += direct.submit(observation, source=source)
             record = unpack_record(pack(observation, source))
-            rebuilt += worker.submit(ProcessBackend._decode(record), source=record.source)
+            rebuilt += worker.submit(_decode(record), source=record.source)
         expected += direct.flush()
         rebuilt += worker.flush()
         assert len(rebuilt) == 5

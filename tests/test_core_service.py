@@ -1,5 +1,7 @@
 """Tests for the sharded multi-worker streaming service."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -20,6 +22,8 @@ from repro.datasets.splits import D1_SPLITS, d1_split
 from repro.feedback.capture import station_mac
 from repro.nn.training import TrainingConfig
 from tests.observations import codewords, frame
+
+BACKENDS = ("threads", "processes")
 
 TINY_MODEL = DeepCsiModelConfig(
     num_filters=8,
@@ -99,16 +103,21 @@ class TestShardRouting:
         with pytest.raises(ServiceError):
             shard_for_source("02:00:00:00:00:01", 0)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_one_source_never_spans_two_shards(
-        self, trained_classifier, test_codewords
+        self, trained_classifier, test_codewords, backend
     ):
-        with StreamingService(trained_classifier, num_workers=4) as service:
+        with StreamingService(
+            trained_classifier, num_workers=4, backend=backend
+        ) as service:
             service.drain(test_codewords[:8], source="alice")
-            owners = [
-                index
-                for index, shard in enumerate(service._shards)
-                if shard.engine.sources
-            ]
+            shards = service._backend
+            with shards._drain_lock:
+                owners = [
+                    index
+                    for index, windows in enumerate(shards._windows)
+                    if windows.sources
+                ]
         assert owners == [shard_for_source("alice", 4)]
 
 
@@ -261,18 +270,6 @@ class TestBackpressureAndLifecycle:
         assert [result.sequence for result in results] == list(range(6))
         assert stats.frames_in == stats.frames_out == 6
 
-    def test_closed_service_rejects_submissions(
-        self, trained_classifier, test_codewords
-    ):
-        service = StreamingService(trained_classifier, num_workers=2)
-        service.drain(test_codewords[:2])
-        service.close()
-        service.close()  # idempotent
-        with pytest.raises(ServiceError):
-            service.submit(test_codewords[0])
-        with pytest.raises(ServiceError):
-            service.flush()
-
     def test_invalid_configuration_rejected(self, trained_classifier):
         with pytest.raises(ServiceError):
             StreamingService(trained_classifier, num_workers=0)
@@ -310,6 +307,187 @@ class TestWorkerHeuristic:
     def test_unknown_backend_rejected(self, trained_classifier):
         with pytest.raises(ServiceError):
             StreamingService(trained_classifier, num_workers=1, backend="fibers")
+
+
+class TestShardProtocol:
+    """The shard protocol both backends share: one worker loop, the result
+    and ack messages, failures and the parent-side replicas."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_submit_and_collect_poll_the_result_queue_once(
+        self, trained_classifier, test_codewords, monkeypatch, backend
+    ):
+        with StreamingService(
+            trained_classifier, num_workers=1, batch_size=4, backend=backend
+        ) as service:
+            shards = service._backend
+            drains = []
+            drain = shards._drain
+
+            def counted(block):
+                drains.append(block)
+                return drain(block)
+
+            monkeypatch.setattr(shards, "_drain", counted)
+            service.submit(test_codewords[0], source="alice")
+            assert drains == [False]
+            service.collect()
+            assert drains == [False, False]
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_worker_error_surfaces_at_the_next_collect_and_submit(
+        self, trained_classifier, test_codewords, backend
+    ):
+        with StreamingService(
+            trained_classifier, num_workers=1, batch_size=4, backend=backend
+        ) as service:
+            # The message a shard worker sends when its engine raises.
+            service._backend._outbox.put(("error", 0, "ValueError: injected"))
+            deadline = time.monotonic() + 10.0
+            with pytest.raises(ServiceError, match="injected"):
+                while time.monotonic() < deadline:
+                    service.collect()
+                    time.sleep(0.01)
+            with pytest.raises(ServiceError, match="injected"):
+                service.submit(test_codewords[0], source="alice")
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_worker_that_cannot_build_its_engine_fails_the_flush(
+        self, trained_classifier, test_codewords, backend
+    ):
+        with StreamingService(
+            trained_classifier, num_workers=1, batch_size=0, backend=backend
+        ) as service:
+            with pytest.raises(ServiceError, match="batch_size must be >= 1"):
+                service.submit(test_codewords[0], source="alice")
+                service.flush()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_stats_aggregate_per_shard_sums(
+        self, trained_classifier, multi_source_stream, backend
+    ):
+        with StreamingService(
+            trained_classifier, num_workers=3, batch_size=4, backend=backend
+        ) as service:
+            for source, quantized in multi_source_stream:
+                service.submit(quantized, source=source)
+            service.flush()
+            stats = service.stats
+        assert stats.backend == backend
+        assert stats.num_workers == 3
+        assert len(stats.worker_stats) == 3
+        assert stats.frames_in == len(multi_source_stream)
+        assert stats.frames_out == sum(w.frames_out for w in stats.worker_stats)
+        assert stats.frames_out == len(multi_source_stream)
+        assert stats.batches == sum(w.batches for w in stats.worker_stats)
+        assert stats.inference_seconds == pytest.approx(
+            sum(w.inference_seconds for w in stats.worker_stats)
+        )
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_worker_stats_carry_the_stage_profile(
+        self, trained_classifier, multi_source_stream, backend
+    ):
+        """After a barrier every shard reports its engine's whole stats: the
+        counters and the stage profile of a standalone engine fed the
+        shard's routed sub-stream, call for call."""
+        with StreamingService(
+            trained_classifier, num_workers=2, batch_size=4, backend=backend
+        ) as service:
+            for source, quantized in multi_source_stream:
+                service.submit(quantized, source=source)
+            service.flush()
+            workers = service.stats.worker_stats
+
+        def counters(stats):
+            stages = [(stage.name, stage.calls) for stage in stats.stage_profile]
+            return stats.frames_out, stats.batches, stats.frames_rejected, stages
+
+        for index, worker in enumerate(workers):
+            engine = InferenceEngine(trained_classifier, batch_size=4)
+            for source, quantized in multi_source_stream:
+                if shard_for_source(source, 2) == index:
+                    engine.submit(quantized, source=source)
+            engine.flush()
+            assert worker.stage_profile
+            assert counters(worker) == counters(engine.stats)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_closed_service_rejects_submissions(
+        self, trained_classifier, test_codewords, backend
+    ):
+        service = StreamingService(trained_classifier, num_workers=2, backend=backend)
+        service.drain(test_codewords[:2])
+        service.close()
+        service.close()  # idempotent
+        with pytest.raises(ServiceError):
+            service.submit(test_codewords[0])
+        with pytest.raises(ServiceError):
+            service.flush()
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_results_and_stats_outlive_close(
+        self, trained_classifier, test_codewords, backend
+    ):
+        """close() flushes every shard; what it completed stays readable."""
+        service = StreamingService(
+            trained_classifier, num_workers=2, batch_size=4, backend=backend
+        )
+        for quantized in test_codewords[:6]:
+            service.submit(quantized, source="alice")
+        service.close()
+        assert sorted(result.sequence for result in service.collect()) == list(range(6))
+        assert service.stats.frames_out == 6
+        assert service.verdict("alice").window_size == 6
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_verdict_reads_do_not_race_the_result_replay(
+        self, trained_classifier, test_codewords, backend
+    ):
+        """One thread reads verdicts while another submits and flushes: every
+        replica read holds the drain lock that the result replay holds."""
+        from repro.analysis.runtime import validate_guarded
+
+        sources = [station_mac(index) for index in range(4)]
+        switch_interval = sys.getswitchinterval()
+        with StreamingService(
+            trained_classifier, num_workers=1, batch_size=4, backend=backend
+        ) as service:
+            for index, source in enumerate(sources):
+                service.submit(test_codewords[index], source=source)
+            service.flush()
+            service.collect()
+            monitor = validate_guarded(service._backend)
+            errors = []
+            done = threading.Event()
+
+            def read_verdicts():
+                try:
+                    while not done.is_set():
+                        for source in sources:
+                            service.verdict(source)
+                except Exception as error:  # noqa: BLE001 - asserted below
+                    errors.append(error)
+
+            reader = threading.Thread(target=read_verdicts)
+            sys.setswitchinterval(1e-5)
+            try:
+                reader.start()
+                for index in range(400):
+                    service.submit(
+                        test_codewords[index % len(test_codewords)],
+                        source=sources[index % len(sources)],
+                    )
+                service.flush()
+            finally:
+                done.set()
+                reader.join(timeout=30.0)
+                sys.setswitchinterval(switch_interval)
+            assert not reader.is_alive()
+            assert errors == []
+            assert len(service.collect()) == 400
+            monitor.assert_clean()
+            monitor.restore()
 
 
 class TestProcessBackend:
@@ -395,42 +573,6 @@ class TestProcessBackend:
         finally:
             service.close()
 
-    def test_submit_and_collect_poll_the_result_queue_once(
-        self, trained_classifier, test_codewords, monkeypatch
-    ):
-        with StreamingService(
-            trained_classifier, num_workers=1, batch_size=4, backend="processes"
-        ) as service:
-            backend = service._backend
-            drains = []
-            drain = backend._drain
-
-            def counted(block):
-                drains.append(block)
-                return drain(block)
-
-            monkeypatch.setattr(backend, "_drain", counted)
-            service.submit(test_codewords[0], source="alice")
-            assert drains == [False]
-            service.collect()
-            assert drains == [False, False]
-
-    def test_worker_error_surfaces_at_the_next_collect_and_submit(
-        self, trained_classifier, test_codewords
-    ):
-        with StreamingService(
-            trained_classifier, num_workers=1, batch_size=4, backend="processes"
-        ) as service:
-            # The message a shard worker sends when its engine raises.
-            service._backend._results_queue.put(("error", 0, "ValueError: injected"))
-            deadline = time.monotonic() + 10.0
-            with pytest.raises(ServiceError, match="injected"):
-                while time.monotonic() < deadline:
-                    service.collect()
-                    time.sleep(0.01)
-            with pytest.raises(ServiceError, match="injected"):
-                service.submit(test_codewords[0], source="alice")
-
     def test_close_unlinks_every_shm_segment(self, trained_classifier, test_codewords):
         from repro.core.transport import segment_exists
 
@@ -459,50 +601,6 @@ class TestProcessBackend:
         service.close()
         assert not any(segment_exists(name) for name in names)
 
-    def test_stats_aggregate_per_shard_sums(
-        self, trained_classifier, multi_source_stream
-    ):
-        with StreamingService(
-            trained_classifier, num_workers=3, batch_size=4, backend="processes"
-        ) as service:
-            for source, quantized in multi_source_stream:
-                service.submit(quantized, source=source)
-            service.flush()
-            stats = service.stats
-        assert stats.backend == "processes"
-        assert stats.num_workers == 3
-        assert len(stats.worker_stats) == 3
-        assert stats.frames_in == len(multi_source_stream)
-        assert stats.frames_out == sum(w.frames_out for w in stats.worker_stats)
-        assert stats.frames_out == len(multi_source_stream)
-        assert stats.batches == sum(w.batches for w in stats.worker_stats)
-        assert stats.inference_seconds == pytest.approx(
-            sum(w.inference_seconds for w in stats.worker_stats)
-        )
-
-    def test_worker_stats_carry_the_stage_profile(
-        self, trained_classifier, multi_source_stream
-    ):
-        """A process shard ships its engine's whole stats snapshot, so the
-        per-shard stage profile matches the thread shard's call for call."""
-
-        def stage_calls(backend):
-            with StreamingService(
-                trained_classifier, num_workers=2, batch_size=4, backend=backend
-            ) as service:
-                for source, quantized in multi_source_stream:
-                    service.submit(quantized, source=source)
-                service.flush()
-                workers = service.stats.worker_stats
-            return [
-                [(stage.name, stage.calls) for stage in worker.stage_profile]
-                for worker in workers
-            ]
-
-        threads = stage_calls("threads")
-        assert all(shard for shard in threads)
-        assert stage_calls("processes") == threads
-
     def test_oversize_frames_span_ring_slots(self, trained_classifier, test_codewords):
         """Frames bigger than one shm slot still arrive bit for bit."""
         with StreamingService(
@@ -514,18 +612,6 @@ class TestProcessBackend:
         ) as service:
             results = service.drain(test_codewords[:6])
         assert len(results) == 6
-
-    def test_closed_service_rejects_submissions(
-        self, trained_classifier, test_codewords
-    ):
-        service = StreamingService(
-            trained_classifier, num_workers=2, backend="processes"
-        )
-        service.drain(test_codewords[:2])
-        service.close()
-        service.close()  # idempotent
-        with pytest.raises(ServiceError):
-            service.submit(test_codewords[0])
 
 
 class TestServiceStats:
