@@ -32,9 +32,10 @@ from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
 from repro.core.engine import InferenceEngine
 from repro.core.model import DeepCsiModelConfig
 from repro.core.openset import (
-    OpenSetAuthenticator,
+    OpenSetPolicy,
     calibrate_threshold,
     evaluate_open_set,
+    score_samples,
 )
 from repro.datasets.adversarial import impostor_scenario
 from repro.datasets.features import FeatureConfig
@@ -119,12 +120,16 @@ def classifier(scenario):
 
 def test_open_set_auroc_gate(scenario, classifier, record):
     """AUROC >= 0.95 separating enrolled traffic from impostors (seeded)."""
-    authenticator = OpenSetAuthenticator(classifier, scoring="max_softmax")
+    policy = OpenSetPolicy(scoring="max_softmax")
     threshold = calibrate_threshold(
-        authenticator, scenario.enrolled_train, target_false_reject_rate=TARGET_FRR
+        score_samples(classifier, policy, scenario.enrolled_train),
+        target_false_reject_rate=TARGET_FRR,
     )
     metrics = evaluate_open_set(
-        authenticator, scenario.enrolled_test, scenario.impostors
+        classifier,
+        replace(policy, threshold=threshold),
+        scenario.enrolled_test,
+        scenario.impostors,
     )
     passed = metrics.auroc >= AUROC_GATE
 
@@ -188,13 +193,16 @@ def test_open_set_throughput_gate(scenario, record):
         quantize_angles(compress_v_matrix(sample.v_tilde), QuantizationConfig())
         for sample in (edge.enrolled_test + edge.impostors)
     ] * THROUGHPUT_ROUNDS
-    authenticator = OpenSetAuthenticator(classifier, scoring="max_softmax")
-    calibrate_threshold(
-        authenticator, edge.enrolled_train, target_false_reject_rate=TARGET_FRR
+    policy = OpenSetPolicy(scoring="max_softmax")
+    threshold = calibrate_threshold(
+        score_samples(classifier, policy, edge.enrolled_train),
+        target_false_reject_rate=TARGET_FRR,
     )
     closed = InferenceEngine(classifier, batch_size=BATCH_SIZE)
     opened = InferenceEngine(
-        classifier, batch_size=BATCH_SIZE, open_set=authenticator
+        classifier,
+        batch_size=BATCH_SIZE,
+        open_set=replace(policy, threshold=threshold),
     )
 
     # Interleave the rounds so host drift hits both engines evenly.

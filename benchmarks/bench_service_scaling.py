@@ -6,11 +6,11 @@ concurrent low-rate beamformees, the 4-worker
 the frames/sec of the single-engine path, while producing **bitwise
 identical** per-source majority verdicts.
 
-The single-engine baseline is PR 1's way of serving many per-source streams:
-one :class:`~repro.core.engine.InferenceEngine` per source (the
-``authenticate_capture(source_address=...)`` pattern), which keeps per-source
-state isolated but pays small-batch inference because every beamformee only
-sounds a handful of times inside an observation window.  The sharded service
+The single-engine baseline serves many per-source streams with one
+:class:`~repro.core.engine.InferenceEngine` per source, each draining one
+source's frames (``capture.filter(source_address=...)``).  That keeps
+per-source state isolated but pays small-batch inference because every
+beamformee only sounds a handful of times inside an observation window.  The sharded service
 keeps the same per-source isolation (a source never spans two shards) while
 batching *across* the sources that share a shard, so its micro-batches stay
 full; on multi-core hardware the worker threads additionally overlap the

@@ -21,14 +21,16 @@ It completes in about a minute on a laptop CPU.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.analysis.ascii_plots import bar_chart
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
 from repro.core.model import FAST_MODEL_CONFIG
 from repro.core.openset import (
-    OpenSetAuthenticator,
+    OpenSetPolicy,
     calibrate_threshold,
     evaluate_open_set,
+    score_samples,
 )
 from repro.datasets.features import FeatureConfig, strided_subcarriers
 from repro.datasets.generator import DatasetConfig, generate_dataset_d1
@@ -74,13 +76,14 @@ def main() -> None:
     classifier.fit(train)
 
     print("Calibrating the acceptance threshold on enrolled-device feedback...")
-    authenticator = OpenSetAuthenticator(classifier, scoring="max_softmax")
+    policy = OpenSetPolicy(scoring="max_softmax")
     threshold = calibrate_threshold(
-        authenticator, train, target_false_reject_rate=0.05
+        score_samples(classifier, policy, train), target_false_reject_rate=0.05
     )
+    policy = replace(policy, threshold=threshold)
     print(f"  threshold = {threshold:.3f} (targets <= 5% false rejections)")
 
-    metrics = evaluate_open_set(authenticator, known_test, unknown_test)
+    metrics = evaluate_open_set(classifier, policy, known_test, unknown_test)
     print()
     print("Open-set authentication results")
     print("-------------------------------")

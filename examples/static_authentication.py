@@ -9,10 +9,14 @@ simulated network:
    every known AP module (monitor mode, no association needed), reconstructs
    the ``V~`` matrices and trains the DeepCSI classifier.
 2. **Online authentication** -- a device claiming to be module 0 starts
-   transmitting.  The observer sniffs a handful of fresh sounding exchanges,
-   runs per-frame inference and fuses the decisions with a majority vote.
-   The experiment is repeated with a legitimate transmitter (module 0) and
-   with an impersonator (module 3 claiming to be module 0).
+   transmitting.  The observer sniffs a handful of fresh sounding exchanges
+   and drains them through the streaming
+   :class:`~repro.core.engine.InferenceEngine`, whose open-set policy
+   rejects any frame classified with a softmax confidence below 0.5.  The
+   engine's windowed majority vote names the transmitter, and the claim is
+   accepted only when that verdict is the claimed module.  The experiment is
+   repeated with a legitimate transmitter (module 0) and with an
+   impersonator (module 3 claiming to be module 0).
 
 Run it with::
 
@@ -26,8 +30,9 @@ import time
 import numpy as np
 
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
+from repro.core.engine import InferenceEngine
 from repro.core.model import FAST_MODEL_CONFIG
-from repro.core.pipeline import AuthenticationPipeline
+from repro.core.openset import OpenSetPolicy
 from repro.datasets.containers import FeedbackSample
 from repro.datasets.features import FeatureConfig, strided_subcarriers
 from repro.feedback.capture import MonitorCapture, SoundingSimulator, station_mac
@@ -74,6 +79,21 @@ def sniff_samples(module, layout, num_soundings, seed):
     return samples
 
 
+def authenticate(classifier, capture, claimed_id):
+    """Drain the station's sniffed frames through the engine; print the verdict."""
+    source = station_mac(1)
+    engine = InferenceEngine(classifier, open_set=OpenSetPolicy(threshold=0.5))
+    results = engine.drain(capture.filter(source_address=source))
+    verdict = engine.verdict(source)
+    accepted = verdict.module_id == claimed_id
+    print(f"  per-frame votes: {[result.predicted_module_id for result in results]}")
+    print(
+        f"  verdict: predicted module {verdict.module_id} "
+        f"(confidence {verdict.confidence:.2f}) -> "
+        f"{'ACCEPTED' if accepted else 'REJECTED'}"
+    )
+
+
 def main() -> None:
     layout = sounding_layout(80)
     modules = make_module_population(num_modules=NUM_MODULES)
@@ -105,9 +125,8 @@ def main() -> None:
             learning_rate=2e-3,
         )
     )
-    pipeline = AuthenticationPipeline(classifier, confidence_threshold=0.5)
     start = time.time()
-    pipeline.enroll(enrollment_samples)
+    classifier.fit(enrollment_samples)
     print(f"  enrolled in {time.time() - start:.1f} s\n")
 
     # ------------------------------------------------------------------ #
@@ -119,19 +138,8 @@ def main() -> None:
     build_network(modules[claimed_id], layout).sound_many(
         ONLINE_SOUNDINGS, np.random.default_rng(1000), capture=capture
     )
-    results = pipeline.authenticate_capture(
-        capture, source_address=station_mac(1), claimed_module_id=claimed_id
-    )
-    verdict = pipeline.majority_vote(results)
-    print(
-        f"  per-frame votes: "
-        f"{[result.predicted_module_id for result in results]}"
-    )
-    print(
-        f"  verdict: predicted module {verdict.predicted_module_id} "
-        f"(confidence {verdict.confidence:.2f}) -> "
-        f"{'ACCEPTED' if verdict.accepted else 'REJECTED'}\n"
-    )
+    authenticate(classifier, capture, claimed_id)
+    print()
 
     # ------------------------------------------------------------------ #
     # 3. Online authentication of an impersonator.
@@ -144,19 +152,7 @@ def main() -> None:
     build_network(modules[impostor_id], layout).sound_many(
         ONLINE_SOUNDINGS, np.random.default_rng(2000), capture=capture
     )
-    results = pipeline.authenticate_capture(
-        capture, source_address=station_mac(1), claimed_module_id=claimed_id
-    )
-    verdict = pipeline.majority_vote(results)
-    print(
-        f"  per-frame votes: "
-        f"{[result.predicted_module_id for result in results]}"
-    )
-    print(
-        f"  verdict: predicted module {verdict.predicted_module_id} "
-        f"(confidence {verdict.confidence:.2f}) -> "
-        f"{'ACCEPTED' if verdict.accepted else 'REJECTED'}"
-    )
+    authenticate(classifier, capture, claimed_id)
     print(
         "\nThe legitimate transmitter should be ACCEPTED and the impersonator "
         "REJECTED: the RF fingerprint, not the claimed identity, drives the decision."

@@ -10,8 +10,9 @@ The package is organised as the paper's system is:
 * :mod:`repro.datasets` -- synthetic counterparts of the paper's D1/D2
   datasets, feature extraction and the S1..S6 train/test splits.
 * :mod:`repro.nn` -- a from-scratch numpy deep-learning library.
-* :mod:`repro.core` -- the DeepCSI classifier, baselines, evaluation and the
-  end-to-end authentication pipeline.
+* :mod:`repro.core` -- the DeepCSI classifier, baselines, evaluation, and
+  the streaming engine and service that turn sniffed frames into
+  accept/reject verdicts.
 * :mod:`repro.experiments` -- one module per figure of the paper's
   evaluation section.
 

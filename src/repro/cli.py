@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
@@ -45,8 +46,10 @@ from repro.core.engine import PRECISION_NAMES, UNKNOWN_MODULE_ID, InferenceEngin
 from repro.core.lifecycle import DriftConfig
 from repro.core.openset import (
     SCORING_RULES,
-    OpenSetAuthenticator,
+    OpenSetPolicy,
     calibrate_threshold_far,
+    enroll_centroids,
+    score_samples,
 )
 from repro.core.service import ServiceError, StreamingService, resolve_num_workers
 from repro.core.model import FAST_MODEL_CONFIG, PAPER_MODEL_CONFIG
@@ -300,22 +303,24 @@ def _build_open_set(
     args: argparse.Namespace,
     classifier: DeepCsiClassifier,
     train: Sequence[FeedbackSample],
-) -> Optional[OpenSetAuthenticator]:
-    """Calibrate the serve command's open-set authenticator (or ``None``)."""
+) -> Optional[OpenSetPolicy]:
+    """Calibrate the serve command's open-set policy (or ``None``)."""
     if args.open_set is None:
         return None
     if not 0.0 <= args.far < 1.0:
         raise CliError("--far must be in [0, 1)")
-    authenticator = OpenSetAuthenticator(classifier, scoring=args.open_set)
     if args.open_set == "centroid_distance":
-        authenticator.enroll(train)
+        policy = enroll_centroids(classifier, train)
+    else:
+        policy = OpenSetPolicy(scoring=args.open_set)
     impostors = spoofed_feedback_samples(
         sorted({sample.module_id for sample in train}),
         shape=train[0].v_tilde.shape,
     )
     threshold = calibrate_threshold_far(
-        authenticator, impostors, target_false_accept_rate=args.far
+        score_samples(classifier, policy, impostors), target_false_accept_rate=args.far
     )
+    policy = replace(policy, threshold=threshold)
     print(
         f"open-set: {args.open_set} scoring, threshold {threshold:.6f} "
         f"calibrated for {100.0 * args.far:.1f}% FAR on "
@@ -326,8 +331,8 @@ def _build_open_set(
     # saturates on a confidently-trained model), hitting the FAR bound can
     # push the implied false-reject rate towards 100% -- the operator should
     # see that at calibration time, not discover it in the verdict stream.
-    genuine = [float(score) for score in authenticator.scores(train)]
-    implied_frr = sum(1 for score in genuine if score < threshold) / len(genuine)
+    genuine = score_samples(classifier, policy, train)
+    implied_frr = float((genuine < threshold).mean())
     if implied_frr > 0.5:
         print(
             f"open-set: WARNING threshold rejects {100.0 * implied_frr:.1f}% "
@@ -335,7 +340,7 @@ def _build_open_set(
             "separate spoofed traffic at this FAR target -- consider another "
             "scoring rule (--open-set) or a looser --far"
         )
-    return authenticator
+    return policy
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:

@@ -9,15 +9,18 @@
 * :mod:`repro.core.evaluation` -- accuracy / confusion-matrix utilities and
   textual report rendering.
 * :mod:`repro.core.engine` -- the batched streaming inference engine every
-  consumer of per-frame classification routes through.
+  consumer of per-frame classification routes through, and the only code
+  that turns traffic into accept/reject decisions (its windowed verdict is
+  the only vote).
 * :mod:`repro.core.service` -- the sharded multi-worker streaming service:
   a pool of engines behind bounded async ingestion queues, with stable
   source-to-shard routing and aggregated throughput counters.
 * :mod:`repro.core.backends` -- the pluggable execution backends of the
   service: in-process worker threads, or worker processes fed through
   shared-memory ring buffers (:mod:`repro.core.transport`).
-* :mod:`repro.core.pipeline` -- an end-to-end authentication pipeline built
-  on the monitor-mode capture path.
+* :mod:`repro.core.openset` -- the open-set decision rule the engine
+  applies (:class:`~repro.core.openset.OpenSetPolicy`) and the functions
+  that enrol, calibrate and evaluate it.
 * :mod:`repro.core.lifecycle` -- always-on model lifecycle: versioned
   weight snapshots for the zero-downtime swap and the per-source drift
   monitor.
@@ -52,7 +55,6 @@ from repro.core.service import (
     resolve_num_workers,
     shard_for_source,
 )
-from repro.core.pipeline import AuthenticationPipeline, AuthenticationResult
 from repro.core.lifecycle import (
     DriftConfig,
     DriftMonitor,
@@ -61,11 +63,13 @@ from repro.core.lifecycle import (
     ModelVersion,
 )
 from repro.core.openset import (
-    OpenSetAuthenticator,
     OpenSetMetrics,
     OpenSetPolicy,
+    calibrate_threshold,
     calibrate_threshold_far,
+    enroll_centroids,
     evaluate_open_set,
+    score_samples,
 )
 
 __all__ = [
@@ -93,16 +97,16 @@ __all__ = [
     "StreamingService",
     "resolve_num_workers",
     "shard_for_source",
-    "AuthenticationPipeline",
-    "AuthenticationResult",
     "DriftConfig",
     "DriftMonitor",
     "DriftStatus",
     "LifecycleError",
     "ModelVersion",
-    "OpenSetAuthenticator",
     "OpenSetMetrics",
     "OpenSetPolicy",
+    "calibrate_threshold",
     "calibrate_threshold_far",
+    "enroll_centroids",
     "evaluate_open_set",
+    "score_samples",
 ]

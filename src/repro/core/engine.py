@@ -37,15 +37,11 @@ streaming one:
 * throughput counters (:class:`EngineStats`) expose frames/sec, rejections
   and a score histogram for the benchmarks and the CLI.
 
-Batched classification routes through this engine: the authentication
-pipeline's ``authenticate_batch``/``authenticate_capture``, the CLI's
-``authenticate`` and ``serve``, and the throughput benchmarks.  The
-pipeline's single-observation
-:meth:`~repro.core.pipeline.AuthenticationPipeline.authenticate` does not:
-it parses, dequantises, rebuilds the full ``V~``
-(:func:`~repro.feedback.givens.reconstruct_v_matrix`) and calls
-:meth:`~repro.core.classifier.DeepCsiClassifier.predict_matrix` directly.
-The engine itself is single-threaded;
+This engine, bare or sharded, is the only code that turns sniffed traffic
+into accept/reject decisions, and :meth:`InferenceEngine.verdict` the only
+vote: the CLI's ``authenticate`` and ``serve``, the examples and the
+throughput benchmarks all classify through it.  The engine itself is
+single-threaded;
 :class:`repro.core.service.StreamingService` scales it out to a sharded
 multi-worker pool with asynchronous ingestion while preserving the
 per-source semantics defined here.
@@ -69,7 +65,7 @@ from repro.feedback.frames import FeedbackFrame, parse_feedback_frame
 from repro.feedback.givens import reconstruct_accumulator_quantized
 from repro.feedback.quantization import QuantizedAngles
 from repro.core.lifecycle import DriftConfig, DriftMonitor, DriftStatus, ModelVersion
-from repro.core.openset import OpenSetAuthenticator, OpenSetPolicy
+from repro.core.openset import OpenSetPolicy
 from repro.nn.model import LayerProfile
 
 
@@ -108,6 +104,43 @@ def check_observation(observation: object) -> None:
             f"{type(observation).__name__}; quantise a V~ with "
             "quantize_angles(compress_v_matrix(v), config) first"
         )
+
+
+def check_open_set(
+    open_set: Optional[OpenSetPolicy], classifier: DeepCsiClassifier
+) -> None:
+    """Raise :class:`EngineError` unless ``open_set`` can score ``classifier``.
+
+    A ``centroid_distance`` policy measures each frame's logits against its
+    centroids, so it needs one centroid column per class of the classifier.
+    The softmax rules score any class count.
+    """
+    if open_set is None or open_set.scoring != "centroid_distance":
+        return
+    num_classes = classifier.config.num_classes
+    shape = np.shape(open_set.centroids)
+    if len(shape) != 2 or shape[1] != num_classes:
+        raise EngineError(
+            f"the open-set policy's centroids have shape {shape}, but the "
+            f"{num_classes}-class classifier needs one column per logit"
+        )
+
+
+def open_set_after_swap(
+    current: Optional[OpenSetPolicy],
+    incoming: Optional[OpenSetPolicy],
+    classifier: DeepCsiClassifier,
+) -> Optional[OpenSetPolicy]:
+    """The policy an engine runs after installing ``classifier``.
+
+    An open-set engine takes the ``incoming`` version's policy when it brings
+    one and keeps its ``current`` one otherwise; a closed-set engine stays
+    closed-set.  Raises :class:`EngineError` when that policy cannot score
+    ``classifier`` (:func:`check_open_set`).
+    """
+    policy = incoming if incoming is not None and current is not None else current
+    check_open_set(policy, classifier)
+    return policy
 
 
 @dataclass(frozen=True)
@@ -424,12 +457,11 @@ class InferenceEngine:
         included); beyond this many the least-recently-seen source's window
         is evicted so memory stays bounded.
     open_set:
-        Optional open-set policy (an :class:`~repro.core.openset.OpenSetPolicy`
-        or a calibrated :class:`~repro.core.openset.OpenSetAuthenticator`,
-        converted via its :meth:`~repro.core.openset.OpenSetAuthenticator.policy`).
-        When set, every frame's known-ness is scored on the classification
-        forward pass; frames below the threshold are rejected and verdicts
-        can resolve to :data:`UNKNOWN_MODULE_ID`.
+        Optional :class:`~repro.core.openset.OpenSetPolicy`.  When set, every
+        frame's known-ness is scored on the classification forward pass;
+        frames below the threshold are rejected and verdicts can resolve to
+        :data:`UNKNOWN_MODULE_ID`.  A policy that cannot score the
+        classifier raises :class:`EngineError` (see :func:`check_open_set`).
     drift:
         Optional :class:`~repro.core.lifecycle.DriftConfig`; when set the
         engine feeds every frame's score into a per-source
@@ -478,7 +510,7 @@ class InferenceEngine:
         max_latency_frames: Optional[int] = None,
         vote_window: int = 16,
         max_sources: int = 1024,
-        open_set: Optional[Union[OpenSetPolicy, OpenSetAuthenticator]] = None,
+        open_set: Optional[OpenSetPolicy] = None,
         drift: Optional[DriftConfig] = None,
         reject_streak: int = 3,
         compute: Optional[str] = None,
@@ -500,8 +532,7 @@ class InferenceEngine:
         self.vote_window = vote_window
         self.max_sources = max_sources
         self.precision = precision
-        if isinstance(open_set, OpenSetAuthenticator):
-            open_set = open_set.policy()
+        check_open_set(open_set, classifier)
         self._open_set = open_set
         self._drift = DriftMonitor(drift) if drift is not None else None
         if compute is not None:
@@ -581,6 +612,9 @@ class InferenceEngine:
         the version's open-set policy when it carries one; a closed-set engine
         ignores it.  A frame is therefore always classified entirely by one
         version, and the ``model_version`` stamped on results never decreases.
+        A version whose classifier the resulting policy cannot score is
+        refused with :class:`EngineError` before the flush, and the engine
+        keeps its buffer and the old version.
 
         Returns the results of the barrier flush (classified by the old
         version) so callers can hand them to their consumers -- nothing is
@@ -592,12 +626,12 @@ class InferenceEngine:
                 f"{self._model_version}, got {version.version}"
             )
         classifier, open_set = version.decode()
+        open_set = open_set_after_swap(self._open_set, open_set, classifier)
         flushed = self._process_pending()
         self.classifier = classifier
         if self._profile:
             classifier.model.enable_profiling()
-        if open_set is not None and self._open_set is not None:
-            self._open_set = open_set
+        self._open_set = open_set
         self._model_version = version.version
         with self._stats_lock:
             self._stats.model_version = version.version

@@ -74,9 +74,10 @@ from repro.core.engine import (
     MajorityVerdict,
     Observation,
     check_observation,
+    open_set_after_swap,
 )
 from repro.core.lifecycle import DriftConfig, DriftStatus, LifecycleError, ModelVersion
-from repro.core.openset import OpenSetAuthenticator, OpenSetPolicy
+from repro.core.openset import OpenSetPolicy
 from repro.core.transport import TransportError
 from repro.feedback.frames import FeedbackFrame
 
@@ -268,9 +269,7 @@ class StreamingService:
         ``max_sources`` bounds the ring buffers *per shard*, so the service
         keeps at most ``num_workers * max_sources`` source windows alive.
     open_set:
-        Optional open-set policy (an
-        :class:`~repro.core.openset.OpenSetPolicy` or a calibrated
-        :class:`~repro.core.openset.OpenSetAuthenticator`) forwarded to
+        Optional :class:`~repro.core.openset.OpenSetPolicy` forwarded to
         every shard engine: frames below the threshold are rejected and
         verdicts can resolve to
         :data:`~repro.core.engine.UNKNOWN_MODULE_ID`.
@@ -320,7 +319,7 @@ class StreamingService:
         max_latency_frames: Optional[int] = None,
         vote_window: int = 16,
         max_sources: int = 1024,
-        open_set: Optional[Union[OpenSetPolicy, OpenSetAuthenticator]] = None,
+        open_set: Optional[OpenSetPolicy] = None,
         drift: Optional[DriftConfig] = None,
         reject_streak: int = 3,
         backend: str = "threads",
@@ -346,17 +345,14 @@ class StreamingService:
             raise ServiceError("num_workers must be >= 1")
         if queue_depth < 1:
             raise ServiceError("queue_depth must be >= 1")
-        if isinstance(open_set, OpenSetAuthenticator):
-            # Reduce to the picklable plain-data policy before the shards
-            # copy it (the authenticator drags the whole classifier along).
-            open_set = open_set.policy()
         self.num_workers = num_workers
         self.queue_depth = queue_depth
         self.backend_name = backend
-        self.open_set_enabled = open_set is not None
         self._closed = False
         self._frames_in = 0  # guarded-by: _submit_lock
         self._model_version = 0  # guarded-by: _swap_lock
+        # The policy the shards run, which a swap's policy replaces.
+        self._open_set = open_set  # guarded-by: _swap_lock
         self._submit_lock = threading.Lock()
         self._swap_lock = threading.Lock()
         self._started_monotonic = time.monotonic()
@@ -455,7 +451,7 @@ class StreamingService:
     def swap_model(
         self,
         replacement: Union[DeepCsiClassifier, ModelVersion],
-        open_set: Optional[Union[OpenSetPolicy, OpenSetAuthenticator]] = None,
+        open_set: Optional[OpenSetPolicy] = None,
     ) -> int:
         """Install a new classifier into every running shard, zero-downtime.
 
@@ -464,7 +460,9 @@ class StreamingService:
         whose number must be exactly the service's current version + 1.  The
         whole classifier is swapped: weights, normalisation statistics,
         feature selection and compute backend.  The version's blob is decoded
-        once here first, so a corrupt version is refused with
+        once here first, so a corrupt version, or one whose classifier the
+        shards' open-set policy after the swap cannot score
+        (:func:`~repro.core.engine.open_set_after_swap`), is refused with
         :class:`ServiceError` before any shard sees it and the service keeps
         serving the old one.
 
@@ -476,8 +474,7 @@ class StreamingService:
         every frame is classified entirely by one version, and the
         ``model_version`` stamped on results/verdicts never decreases.
 
-        ``open_set`` (an :class:`~repro.core.openset.OpenSetPolicy` or a
-        calibrated :class:`~repro.core.openset.OpenSetAuthenticator`) replaces
+        ``open_set`` (an :class:`~repro.core.openset.OpenSetPolicy`) replaces
         the shards' open-set policy together with the classifier; ``None``
         keeps the current one, and closed-set shards ignore it.  A pre-built
         version carries its own policy
@@ -486,8 +483,6 @@ class StreamingService:
         calls are safe; concurrent :meth:`swap_model` calls serialise.
         """
         self._check_usable()
-        if isinstance(open_set, OpenSetAuthenticator):
-            open_set = open_set.policy()
         with self._swap_lock:
             next_version = self._model_version + 1
             if isinstance(replacement, ModelVersion):
@@ -507,8 +502,9 @@ class StreamingService:
                     if isinstance(replacement, ModelVersion)
                     else ModelVersion.from_classifier(replacement, next_version, open_set)
                 )
-                version.decode()
-            except LifecycleError as error:
+                classifier, policy = version.decode()
+                policy = open_set_after_swap(self._open_set, policy, classifier)
+            except (LifecycleError, EngineError) as error:
                 raise ServiceError(f"model swap failed: {error}") from error
             try:
                 self._backend.swap(version)
@@ -516,6 +512,7 @@ class StreamingService:
                 raise ServiceError(f"model swap failed: {error}") from error
             self._check_failure()
             self._model_version = version.version
+            self._open_set = policy
             return version.version
 
     def stream(
@@ -592,6 +589,7 @@ class StreamingService:
             frames_in = self._frames_in
         with self._swap_lock:
             model_version = self._model_version
+            open_set = self._open_set is not None
         histograms = [stats.score_histogram for stats in worker_stats if stats.score_histogram]
         score_histogram: Tuple[int, ...] = ()
         if histograms:
@@ -608,7 +606,7 @@ class StreamingService:
             queue_full_waits=self._backend.queue_full_waits,
             wall_seconds=time.monotonic() - self._started_monotonic,
             worker_stats=tuple(worker_stats),
-            open_set=self.open_set_enabled,
+            open_set=open_set,
             frames_rejected=sum(stats.frames_rejected for stats in worker_stats),
             score_histogram=score_histogram,
             model_version=model_version,

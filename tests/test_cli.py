@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -229,6 +230,38 @@ class TestProbeTrainEvaluate:
         assert "worker 0:" in captured
         assert "worker 1:" in captured
         assert "verdict module" in captured
+
+    @pytest.mark.parametrize(
+        "rule_args, backend",
+        [(["centroid_distance", "--far", "0.1"], "processes"), ([], "threads")],
+    )
+    def test_serve_open_set_calibrates_and_rejects(
+        self, generated_dataset, trained_model, capsys, rule_args, backend
+    ):
+        """``serve --open-set`` calibrates a FAR threshold on synthetic
+        spoofed frames, then reports how many served frames it rejected."""
+        code = main(
+            [
+                "serve", str(generated_dataset), str(trained_model),
+                "--split", "S1", "--workers", "1", "--batch-size", "8",
+                "--window", "4", "--backend", backend, "--open-set", *rule_args,
+            ]
+        )
+        captured = capsys.readouterr().out
+        assert code == 0
+        rule = rule_args[0] if rule_args else "max_softmax"
+        far = "10.0" if rule_args else "5.0"
+        assert re.search(
+            rf"^open-set: {rule} scoring, threshold \d\.\d{{6}} calibrated for "
+            rf"{far}% FAR on \d+ synthetic spoofed frames$",
+            captured,
+            re.MULTILINE,
+        )
+        assert re.search(
+            r"^  open-set: \d+ of 27 frames rejected \(\d+\.\d%\), model version 0$",
+            captured,
+            re.MULTILINE,
+        )
 
     def test_authenticate_compute_backends_and_profile(
         self, generated_dataset, tmp_path, capsys

@@ -1,6 +1,7 @@
 """Tests for the high-level DeepCSI classifier and the evaluation helpers."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.core.evaluation import (
     per_class_accuracy,
 )
 from repro.core.model import DeepCsiModelConfig
-from repro.core.openset import OpenSetAuthenticator
+from repro.core.openset import enroll_centroids
 from repro.datasets.features import FeatureConfig, strided_subcarriers
 from repro.datasets.splits import D1_SPLITS, d1_split
 from repro.nn.training import TrainingConfig
@@ -127,9 +128,7 @@ class TestDeepCsiClassifier:
         classifier = tiny_classifier()
         classifier.fit(train)
         assert read_model(io.BytesIO(classifier.to_bytes()))[1:] == (0, None)
-        policy = OpenSetAuthenticator(
-            classifier, scoring="centroid_distance", threshold=0.25
-        ).enroll(train).policy()
+        policy = replace(enroll_centroids(classifier, train), threshold=0.25)
         _, version, decoded = read_model(
             io.BytesIO(classifier.to_bytes(version=7, open_set=policy))
         )

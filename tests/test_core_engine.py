@@ -14,7 +14,9 @@ from repro.core.engine import (
     InferenceEngine,
     SourceWindows,
 )
+from repro.core.lifecycle import ModelVersion
 from repro.core.model import DeepCsiModelConfig
+from repro.core.openset import OpenSetPolicy
 from repro.core.transport import (
     pack_codeword_record,
     pack_frame_record,
@@ -217,6 +219,32 @@ class TestEngineBatching:
         assert [result.sequence for result in results] == list(range(7))
         assert results == InferenceEngine(trained_classifier, batch_size=8).drain(good)
         assert engine.stats.frames_in == engine.stats.frames_out == 7
+
+
+class TestOpenSetPolicyCheck:
+    """A policy that cannot score the classifier is refused up front."""
+
+    def test_policy_that_cannot_score_the_classifier_is_refused(
+        self, trained_classifier, test_codewords
+    ):
+        """Centroids without one column per logit would fail every batch's
+        scoring; the engine refuses them at construction and at
+        install_model, before the barrier flush, keeping its buffer and the
+        old version."""
+        bad = OpenSetPolicy(scoring="centroid_distance", centroids=np.zeros((3, 5)))
+        with pytest.raises(EngineError, match="one column per logit"):
+            InferenceEngine(trained_classifier, open_set=bad)
+        fits = OpenSetPolicy(
+            scoring="centroid_distance", threshold=0.0, centroids=np.zeros((3, 3))
+        )
+        engine = InferenceEngine(trained_classifier, open_set=fits)
+        assert engine.submit(test_codewords[0]) == []
+        with pytest.raises(EngineError, match="one column per logit"):
+            engine.install_model(ModelVersion.from_classifier(trained_classifier, 1, bad))
+        assert engine.model_version == 0
+        assert engine.open_set is fits
+        [result] = engine.flush()
+        assert result.model_version == 0 and result.accepted
 
 
 def _observation(kind, quantized):

@@ -1,6 +1,6 @@
 """Tests for open-set authentication."""
 
-from types import SimpleNamespace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,12 +8,14 @@ import pytest
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
 from repro.core.model import DeepCsiModelConfig
 from repro.core.openset import (
-    OpenSetAuthenticator,
     OpenSetError,
+    OpenSetPolicy,
+    _auroc,
     calibrate_threshold,
     calibrate_threshold_far,
+    enroll_centroids,
     evaluate_open_set,
-    threshold_sweep,
+    score_samples,
 )
 from repro.datasets.containers import FeedbackSample
 from repro.datasets.features import FeatureConfig
@@ -83,147 +85,109 @@ def trained_setup():
     return classifier, known_train, known_test, unknown
 
 
-class TestOpenSetAuthenticator:
-    def test_invalid_scoring_rejected(self, trained_setup):
-        classifier = trained_setup[0]
+class TestOpenSetPolicy:
+    def test_invalid_scoring_rejected(self):
         with pytest.raises(OpenSetError):
-            OpenSetAuthenticator(classifier, scoring="bogus")
+            OpenSetPolicy(scoring="bogus")
 
-    def test_scores_and_decisions(self, trained_setup):
+    def test_scores(self, trained_setup):
         classifier, _, known_test, _ = trained_setup
-        authenticator = OpenSetAuthenticator(classifier, threshold=0.0)
-        scores = authenticator.scores(known_test)
+        scores = score_samples(classifier, OpenSetPolicy(), known_test)
         assert scores.shape == (len(known_test),)
-        decisions = authenticator.decide(known_test)
-        assert all(decision.accepted for decision in decisions)
-        assert all(0 <= decision.predicted_module_id < 3 for decision in decisions)
+        assert np.all((scores > 0.0) & (scores <= 1.0))
+
+    def test_scores_match_the_engine_formula(self, trained_setup):
+        """score_samples is score_outputs on one forward's softmax and logits."""
+        classifier, known_train, known_test, _ = trained_setup
+        logits = classifier.predict_logits(known_test)
+        probabilities = classifier.predict_proba(known_test)
+        for policy in (
+            OpenSetPolicy(scoring="max_softmax"),
+            OpenSetPolicy(scoring="negative_entropy"),
+            enroll_centroids(classifier, known_train),
+        ):
+            np.testing.assert_array_equal(
+                score_samples(classifier, policy, known_test),
+                policy.score_outputs(probabilities, logits),
+            )
 
     def test_empty_sample_list_rejected(self, trained_setup):
-        authenticator = OpenSetAuthenticator(trained_setup[0])
         with pytest.raises(OpenSetError):
-            authenticator.scores([])
+            score_samples(trained_setup[0], OpenSetPolicy(), [])
+        with pytest.raises(OpenSetError):
+            enroll_centroids(trained_setup[0], [])
 
     def test_centroid_scoring_requires_enrolment(self, trained_setup):
         classifier, known_train, known_test, _ = trained_setup
-        authenticator = OpenSetAuthenticator(classifier, scoring="centroid_distance")
-        with pytest.raises(OpenSetError):
-            authenticator.scores(known_test)
-        authenticator.enroll(known_train)
-        assert authenticator.scores(known_test).shape == (len(known_test),)
+        with pytest.raises(OpenSetError, match="enroll_centroids"):
+            OpenSetPolicy(scoring="centroid_distance")
+        policy = enroll_centroids(classifier, known_train)
+        assert policy.scoring == "centroid_distance"
+        assert policy.centroids.shape == (3, 3)
+        assert score_samples(classifier, policy, known_test).shape == (len(known_test),)
 
     def test_known_devices_score_higher_than_unknown(self, trained_setup):
         classifier, known_train, known_test, unknown = trained_setup
-        for scoring in ("max_softmax", "negative_entropy", "centroid_distance"):
-            authenticator = OpenSetAuthenticator(classifier, scoring=scoring)
-            if scoring == "centroid_distance":
-                authenticator.enroll(known_train)
-            known_scores = authenticator.scores(known_test)
-            unknown_scores = authenticator.scores(unknown)
-            assert known_scores.mean() > unknown_scores.mean(), scoring
+        for policy in (
+            OpenSetPolicy(scoring="max_softmax"),
+            OpenSetPolicy(scoring="negative_entropy"),
+            enroll_centroids(classifier, known_train),
+        ):
+            known_scores = score_samples(classifier, policy, known_test)
+            unknown_scores = score_samples(classifier, policy, unknown)
+            assert known_scores.mean() > unknown_scores.mean(), policy.scoring
 
     def test_calibrated_threshold_bounds_false_rejections(self, trained_setup):
         classifier, known_train, known_test, unknown = trained_setup
-        authenticator = OpenSetAuthenticator(classifier)
+        policy = OpenSetPolicy()
         threshold = calibrate_threshold(
-            authenticator, known_train, target_false_reject_rate=0.1
+            score_samples(classifier, policy, known_train), target_false_reject_rate=0.1
         )
-        assert authenticator.threshold == threshold
-        metrics = evaluate_open_set(authenticator, known_test, unknown)
+        metrics = evaluate_open_set(
+            classifier, replace(policy, threshold=threshold), known_test, unknown
+        )
+        assert metrics.threshold == threshold
         assert metrics.false_reject_rate <= 0.35
         assert 0.0 <= metrics.auroc <= 1.0
         assert metrics.auroc > 0.6
 
-    def test_threshold_sweep_is_monotone(self, trained_setup):
-        classifier, _, known_test, unknown = trained_setup
-        authenticator = OpenSetAuthenticator(classifier)
-        sweep = threshold_sweep(authenticator, known_test, unknown, num_points=11)
-        thresholds = sorted(sweep)
-        fars = [sweep[t][0] for t in thresholds]
-        frrs = [sweep[t][1] for t in thresholds]
-        assert all(a >= b for a, b in zip(fars[:-1], fars[1:]))
-        assert all(a <= b for a, b in zip(frrs[:-1], frrs[1:]))
-
     def test_evaluation_requires_both_populations(self, trained_setup):
         classifier, _, known_test, unknown = trained_setup
-        authenticator = OpenSetAuthenticator(classifier)
+        policy = OpenSetPolicy()
         with pytest.raises(OpenSetError):
-            evaluate_open_set(authenticator, [], unknown)
+            evaluate_open_set(classifier, policy, [], unknown)
         with pytest.raises(OpenSetError):
-            evaluate_open_set(authenticator, known_test, [])
-
-
-class _StubAuthenticator:
-    """Duck-typed authenticator with fully controlled scores.
-
-    ``calibrate_threshold`` / ``evaluate_open_set`` only touch ``scores()``,
-    ``threshold`` and (for evaluation) ``classifier.predict``, so a stub lets
-    the edge-case tests pin exact score distributions no trained network
-    would produce on demand.
-    """
-
-    class _StubClassifier:
-        def predict(self, samples):
-            return np.zeros(len(samples), dtype=np.int64)
-
-    def __init__(self, known_scores, unknown_scores=()):
-        self._known = np.asarray(known_scores, dtype=np.float64)
-        self._unknown = np.asarray(unknown_scores, dtype=np.float64)
-        self.threshold = 0.5
-        self.classifier = self._StubClassifier()
-
-    @staticmethod
-    def samples(population, count):
-        """Marker samples carrying only the module_id the evaluation reads."""
-        return [
-            SimpleNamespace(module_id=0, population=population)
-            for _ in range(count)
-        ]
-
-    def scores(self, samples):
-        if samples and samples[0].population == "unknown":
-            return self._unknown
-        return self._known
+            evaluate_open_set(classifier, policy, known_test, [])
 
 
 class TestCalibrationEdgeCases:
     def test_all_equal_scores_keep_everything_accepted(self):
         """A degenerate single-value score distribution must calibrate to
         that value (acceptance is >=, so nothing enrolled is rejected)."""
-        stub = _StubAuthenticator([0.7] * 10)
+        scores = np.full(10, 0.7)
         for target in (0.0, 0.05, 0.5, 0.99):
-            threshold = calibrate_threshold(
-                stub,
-                stub.samples("known", 10),
-                target_false_reject_rate=target,
-            )
+            threshold = calibrate_threshold(scores, target_false_reject_rate=target)
             assert threshold == pytest.approx(0.7)
-            assert np.all(stub.scores(stub.samples("known", 10)) >= threshold)
+            assert np.all(scores >= threshold)
 
     def test_target_frr_zero_rejects_nothing(self):
-        stub = _StubAuthenticator([0.2, 0.5, 0.9, 0.95])
-        threshold = calibrate_threshold(
-            stub, stub.samples("known", 4), target_false_reject_rate=0.0
-        )
+        scores = np.array([0.2, 0.5, 0.9, 0.95])
+        threshold = calibrate_threshold(scores, target_false_reject_rate=0.0)
         assert threshold == pytest.approx(0.2)
-        assert np.all(stub.scores(stub.samples("known", 4)) >= threshold)
+        assert np.all(scores >= threshold)
 
     def test_target_frr_one_rejected(self):
-        stub = _StubAuthenticator([0.2, 0.9])
         for bad_target in (1.0, -0.1, 1.5):
             with pytest.raises(OpenSetError, match="target_false_reject_rate"):
                 calibrate_threshold(
-                    stub,
-                    stub.samples("known", 2),
-                    target_false_reject_rate=bad_target,
+                    np.array([0.2, 0.9]), target_false_reject_rate=bad_target
                 )
 
     def test_far_zero_rejects_every_impostor(self):
-        stub = _StubAuthenticator([0.3, 0.8, 0.9999])
-        threshold = calibrate_threshold_far(
-            stub, stub.samples("known", 3), target_false_accept_rate=0.0
-        )
+        scores = np.array([0.3, 0.8, 0.9999])
+        threshold = calibrate_threshold_far(scores, target_false_accept_rate=0.0)
         assert threshold > 0.9999
-        assert not np.any(stub.scores(stub.samples("known", 3)) >= threshold)
+        assert not np.any(scores >= threshold)
 
     def test_single_enrolled_class_calibration_bounds_rejections(self):
         """Calibrating against one enrolled class (every label identical --
@@ -232,51 +196,31 @@ class TestCalibrationEdgeCases:
         train = _make_samples([0], num_per_module=20, seed=4)
         classifier = _tiny_classifier(num_classes=2)
         classifier.fit(train)
-        authenticator = OpenSetAuthenticator(classifier, scoring="max_softmax")
-        threshold = calibrate_threshold(
-            authenticator, train, target_false_reject_rate=0.1
-        )
+        scores = score_samples(classifier, OpenSetPolicy(), train)
+        threshold = calibrate_threshold(scores, target_false_reject_rate=0.1)
         assert 0.0 <= threshold <= 1.0
-        rejected = sum(
-            1 for decision in authenticator.decide(train) if not decision.accepted
-        )
-        assert rejected <= int(0.1 * len(train))
+        assert np.count_nonzero(scores < threshold) <= int(0.1 * len(train))
 
 
 class TestAurocProperties:
     def test_perfect_separation_scores_one(self):
-        stub = _StubAuthenticator([0.8, 0.9, 0.95], [0.1, 0.2, 0.3])
-        metrics = evaluate_open_set(
-            stub, stub.samples("known", 3), stub.samples("unknown", 3)
+        assert _auroc(np.array([0.8, 0.9, 0.95]), np.array([0.1, 0.2, 0.3])) == (
+            pytest.approx(1.0)
         )
-        assert metrics.auroc == pytest.approx(1.0)
 
     def test_inverted_separation_scores_zero(self):
-        stub = _StubAuthenticator([0.1, 0.2], [0.8, 0.9])
-        metrics = evaluate_open_set(
-            stub, stub.samples("known", 2), stub.samples("unknown", 2)
-        )
-        assert metrics.auroc == pytest.approx(0.0)
+        assert _auroc(np.array([0.1, 0.2]), np.array([0.8, 0.9])) == pytest.approx(0.0)
 
     def test_indistinguishable_populations_score_half(self):
         """All-tied scores must give chance-level AUROC, not 0 or 1."""
-        stub = _StubAuthenticator([0.6, 0.6, 0.6], [0.6, 0.6, 0.6])
-        metrics = evaluate_open_set(
-            stub, stub.samples("known", 3), stub.samples("unknown", 3)
-        )
-        assert metrics.auroc == pytest.approx(0.5)
+        assert _auroc(np.full(3, 0.6), np.full(3, 0.6)) == pytest.approx(0.5)
 
     def test_auroc_stays_in_unit_interval(self):
         rng = np.random.default_rng(0)
         for trial in range(20):
-            stub = _StubAuthenticator(rng.random(7), rng.random(5))
-            metrics = evaluate_open_set(
-                stub, stub.samples("known", 7), stub.samples("unknown", 5)
-            )
-            assert 0.0 <= metrics.auroc <= 1.0
+            assert 0.0 <= _auroc(rng.random(7), rng.random(5)) <= 1.0
 
-    def test_auroc_of_trained_authenticator_in_bounds(self, trained_setup):
+    def test_auroc_of_trained_policy_in_bounds(self, trained_setup):
         classifier, _, known_test, unknown = trained_setup
-        authenticator = OpenSetAuthenticator(classifier, scoring="max_softmax")
-        metrics = evaluate_open_set(authenticator, known_test, unknown)
+        metrics = evaluate_open_set(classifier, OpenSetPolicy(), known_test, unknown)
         assert 0.0 <= metrics.auroc <= 1.0

@@ -37,7 +37,12 @@ from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
 from repro.core.engine import UNKNOWN_MODULE_ID, InferenceEngine
 from repro.core.lifecycle import DriftConfig, ModelVersion
 from repro.core.model import DeepCsiModelConfig
-from repro.core.openset import OpenSetAuthenticator, OpenSetPolicy, calibrate_threshold
+from repro.core.openset import (
+    OpenSetPolicy,
+    calibrate_threshold,
+    enroll_centroids,
+    score_samples,
+)
 from repro.core.service import ServiceError, StreamingService
 from repro.datasets.adversarial import impostor_scenario, interleaved_traffic
 from repro.datasets.features import FeatureConfig
@@ -50,10 +55,10 @@ BACKENDS = ("threads", "processes")
 NUM_ENROLLED = 3
 
 
-def _train_classifier(samples, seed, subcarriers=None):
+def _train_classifier(samples, seed, subcarriers=None, num_classes=NUM_ENROLLED):
     classifier = DeepCsiClassifier(
         ClassifierConfig(
-            num_classes=NUM_ENROLLED,
+            num_classes=num_classes,
             feature=FeatureConfig(stream_indices=(0,), subcarrier_positions=subcarriers),
             model=DeepCsiModelConfig(
                 num_filters=8,
@@ -114,6 +119,12 @@ def classifier_v1(scenario):
 def classifier_other_draw(other_draw):
     """Same architecture, trained on another draw: other normalisation."""
     return _train_classifier(other_draw.enrolled_train, seed=1)
+
+
+@pytest.fixture(scope="module")
+def four_class_classifier(scenario):
+    """Same inputs, one class more: four logits where v0 has three."""
+    return _train_classifier(scenario.enrolled_train, seed=0, num_classes=4)
 
 
 @pytest.fixture(scope="module")
@@ -311,10 +322,11 @@ class TestWholeClassifierSwap:
         scores every later frame against v1's centroids, not v0's."""
 
         def enrolled_policy(classifier, samples):
-            authenticator = OpenSetAuthenticator(classifier, scoring="centroid_distance")
-            authenticator.enroll(samples)
-            calibrate_threshold(authenticator, samples, target_false_reject_rate=0.05)
-            return authenticator.policy()
+            policy = enroll_centroids(classifier, samples)
+            scores = score_samples(classifier, policy, samples)
+            return replace(
+                policy, threshold=calibrate_threshold(scores, target_false_reject_rate=0.05)
+            )
 
         v1_policy = enrolled_policy(classifier_other_draw, other_draw.enrolled_train)
         results, stats, _ = _serve_with_swaps(
@@ -378,6 +390,67 @@ class TestSwapFailures:
         assert sorted(result.sequence for result in results) == list(range(16))
         assert all(result.model_version == 0 for result in results)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_version_whose_policy_cannot_score_it_is_refused(
+        self, classifier_v0, feed, backend
+    ):
+        """A version bundling centroids without one column per logit is
+        refused before any shard sees it; the service keeps serving v0."""
+        bad = ModelVersion.from_classifier(
+            classifier_v0,
+            version=1,
+            open_set=OpenSetPolicy(scoring="centroid_distance", centroids=np.zeros((3, 5))),
+        )
+        with StreamingService(
+            classifier_v0,
+            num_workers=1,
+            batch_size=8,
+            backend=backend,
+            open_set=OpenSetPolicy(threshold=0.5),
+        ) as service:
+            for source, observation in feed[:8]:
+                service.submit(observation, source=source)
+            with pytest.raises(ServiceError, match="one column per logit"):
+                service.swap_model(bad)
+            for source, observation in feed[8:16]:
+                service.submit(observation, source=source)
+            service.flush()
+            results = service.collect()
+            assert service.model_version == 0
+        assert sorted(result.sequence for result in results) == list(range(16))
+        assert all(result.model_version == 0 for result in results)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_classifier_the_current_policy_cannot_score_is_refused(
+        self, scenario, classifier_v0, four_class_classifier, feed, backend
+    ):
+        """A swap without a policy keeps the shards' current one, so a
+        four-class classifier is refused under a three-class centroid policy,
+        and accepted together with a policy enrolled for it."""
+        with StreamingService(
+            classifier_v0,
+            num_workers=1,
+            batch_size=8,
+            backend=backend,
+            open_set=enroll_centroids(classifier_v0, scenario.enrolled_train),
+        ) as service:
+            service.drain([observation for _, observation in feed[:8]])
+            with pytest.raises(ServiceError, match="one column per logit"):
+                service.swap_model(four_class_classifier)
+            assert service.model_version == 0
+            assert len(service.drain([observation for _, observation in feed[8:16]])) == 8
+            policy = enroll_centroids(four_class_classifier, scenario.enrolled_train)
+            assert service.swap_model(four_class_classifier, open_set=policy) == 1
+            results = service.drain([observation for _, observation in feed[16:24]])
+        assert [result.model_version for result in results] == [1] * 8
+
+        def decisions(batch):
+            return [(r.predicted_module_id, r.confidence, r.score, r.accepted) for r in batch]
+
+        assert decisions(results) == decisions(
+            _alone(four_class_classifier, feed[16:24], open_set=policy)
+        )
+
     def test_version_with_its_own_policy_refuses_a_second_one(self, classifier_v0):
         version = ModelVersion.from_classifier(classifier_v0, version=1)
         with StreamingService(classifier_v0, num_workers=1, batch_size=8) as service:
@@ -421,9 +494,10 @@ class TestThresholdHotSwap:
         """A version bundling a policy with threshold > 1 must reject every
         max-softmax score after the swap -- proving the policy swaps with the
         classifier."""
-        authenticator = OpenSetAuthenticator(classifier_v0, scoring="max_softmax")
-        calibrate_threshold(
-            authenticator, scenario.enrolled_train, target_false_reject_rate=0.05
+        policy = OpenSetPolicy(scoring="max_softmax")
+        threshold = calibrate_threshold(
+            score_samples(classifier_v0, policy, scenario.enrolled_train),
+            target_false_reject_rate=0.05,
         )
         swap_at = len(feed) // 2
         results, stats, verdicts = _serve_with_swaps(
@@ -431,7 +505,7 @@ class TestThresholdHotSwap:
             feed,
             backend,
             swaps=[(swap_at, classifier_v0)],
-            open_set=authenticator,
+            open_set=replace(policy, threshold=threshold),
             drift=DriftConfig(),
             swap_open_set=OpenSetPolicy(scoring="max_softmax", threshold=1.5),
         )
