@@ -513,6 +513,37 @@ class TestSourceWindowsRejection:
         assert verdict.num_votes == 7
         assert verdict.num_rejected == 1
 
+    def test_most_frequent_module_wins_with_its_mean_confidence(self):
+        windows = SourceWindows(vote_window=8, max_sources=4)
+        windows.append(self._result(1, confidence=0.9))
+        windows.append(self._result(1, confidence=0.8))
+        windows.append(self._result(2, confidence=0.99))
+        verdict = windows.verdict("src")
+        assert verdict.module_id == 1
+        assert verdict.confidence == pytest.approx(0.85)
+        assert verdict.num_votes == 2
+        assert verdict.window_size == 3
+
+    def test_tied_votes_go_to_the_higher_mean_confidence(self):
+        windows = SourceWindows(vote_window=8, max_sources=4)
+        for module_id, confidence in ((0, 0.6), (2, 0.95), (0, 0.7), (2, 0.5)):
+            windows.append(self._result(module_id, confidence=confidence))
+        verdict = windows.verdict("src")
+        assert verdict.module_id == 2
+        assert verdict.confidence == pytest.approx(0.725)
+        assert verdict.num_votes == 2
+
+    def test_rejections_outnumbering_the_winner_give_unknown(self):
+        """A latest accepted frame does not outvote an older rejected majority."""
+        windows = SourceWindows(vote_window=8, max_sources=4, reject_streak=3)
+        windows.append(self._result(1, accepted=False, score=0.1))
+        windows.append(self._result(1, accepted=False, score=0.1))
+        windows.append(self._result(1, confidence=0.8))
+        verdict = windows.verdict("src")
+        assert verdict.module_id == UNKNOWN_MODULE_ID
+        assert verdict.confidence == pytest.approx(0.9)  # mean(1 - score)
+        assert verdict.num_votes == verdict.num_rejected == 2
+
     def test_rejections_matching_winner_votes_give_unknown(self):
         windows = SourceWindows(vote_window=8, max_sources=4, reject_streak=5)
         windows.append(self._result(0))

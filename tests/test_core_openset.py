@@ -151,6 +151,49 @@ class TestOpenSetPolicy:
         assert 0.0 <= metrics.auroc <= 1.0
         assert metrics.auroc > 0.6
 
+    def test_enrolled_centroids_are_the_class_mean_logits(self, trained_setup):
+        classifier, known_train, _, _ = trained_setup
+        policy = enroll_centroids(classifier, known_train)
+        logits = classifier.predict_logits(known_train)
+        labels = np.array([sample.module_id for sample in known_train])
+        for cls in range(3):
+            np.testing.assert_array_equal(
+                policy.centroids[cls], logits[labels == cls].mean(axis=0)
+            )
+        own_distances = np.linalg.norm(logits - policy.centroids[labels], axis=1)
+        assert policy.centroid_scale == np.median(own_distances) + 1e-9
+        assert policy.threshold == OpenSetPolicy().threshold
+
+    def test_rates_are_monotone_in_the_threshold(self, trained_setup):
+        """Raising the threshold never accepts more impostors or fewer
+        enrolled samples' rejections, and leaves the AUROC alone."""
+        classifier, _, known_test, unknown = trained_setup
+        policy = OpenSetPolicy()
+        sweep = [
+            evaluate_open_set(
+                classifier, replace(policy, threshold=threshold), known_test, unknown
+            )
+            for threshold in np.linspace(0.3, 1.0, 11)
+        ]
+        fars = [metrics.false_accept_rate for metrics in sweep]
+        frrs = [metrics.false_reject_rate for metrics in sweep]
+        assert all(a >= b for a, b in zip(fars[:-1], fars[1:]))
+        assert all(a <= b for a, b in zip(frrs[:-1], frrs[1:]))
+        assert fars[0] > fars[-1] or frrs[0] < frrs[-1]
+        assert len({metrics.auroc for metrics in sweep}) == 1
+
+    def test_far_calibration_bounds_false_accepts(self, trained_setup):
+        classifier, known_train, known_test, unknown = trained_setup
+        policy = enroll_centroids(classifier, known_train)
+        threshold = calibrate_threshold_far(
+            score_samples(classifier, policy, unknown), target_false_accept_rate=0.1
+        )
+        metrics = evaluate_open_set(
+            classifier, replace(policy, threshold=threshold), known_test, unknown
+        )
+        assert metrics.threshold == threshold
+        assert metrics.false_accept_rate <= 0.1
+
     def test_evaluation_requires_both_populations(self, trained_setup):
         classifier, _, known_test, unknown = trained_setup
         policy = OpenSetPolicy()
