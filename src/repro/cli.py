@@ -233,8 +233,8 @@ def _cmd_authenticate(args: argparse.Namespace) -> int:
     print(
         f"authenticated {stats.frames_out} frames in {stats.batches} "
         f"micro-batches (batch size {args.batch_size}, "
-        f"mean {stats.mean_batch_size:.1f}, compute {stats.compute}, "
-        f"precision {stats.precision})"
+        f"mean {stats.mean_batch_size:.1f}, compute {engine.compute}, "
+        f"precision {engine.precision})"
     )
     print(
         f"  throughput: {stats.frames_per_second:.1f} frames/s "
@@ -402,18 +402,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     f"wall_fps={stats.wall_frames_per_second:.1f} "
                     f"queue_full_waits={stats.queue_full_waits}"
                 )
-                if stats.open_set:
+                if open_set is not None:
                     line += (
                         f" rejected={stats.frames_rejected} "
                         f"reject_rate={stats.rejection_rate:.2f}"
                     )
-                    drifting = stats.drifting_sources
+                    drifting = [
+                        status.source
+                        for status in service.drift_snapshot()
+                        if status.drifting
+                    ]
                     if drifting:
                         line += f" drifting={','.join(drifting)}"
                 print(line)
         service.flush()
         results.extend(service.collect())
         stats = service.stats
+        drift = service.drift_snapshot()
         sources = service.sources
         verdicts = {source: service.verdict(source) for source in sources}
 
@@ -422,8 +427,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     print(
         f"served {stats.frames_out} frames in {stats.batches} micro-batches "
-        f"across {stats.num_workers} workers ({stats.backend} backend, "
-        f"compute {stats.compute}, precision {stats.precision}, "
+        f"across {service.num_workers} workers ({service.backend_name} backend, "
+        f"compute {classifier.compute_name}, precision {service.precision}, "
         f"mean batch {stats.mean_batch_size:.1f})"
     )
     print(
@@ -437,13 +442,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"{worker.batches} batches ({worker.frames_per_second:.1f} frames/s)"
         )
     print(f"  frame accuracy: {100.0 * correct / len(results):.2f}%")
-    if stats.open_set:
+    if open_set is not None:
         print(
             f"  open-set: {stats.frames_rejected} of {stats.frames_out} frames "
             f"rejected ({100.0 * stats.rejection_rate:.1f}%), "
-            f"model version {stats.model_version}"
+            f"model version {service.model_version}"
         )
-        for status in stats.drift:
+        for status in drift:
             print(
                 f"  drift {status.source}: score {status.score:.3f} vs "
                 f"baseline {status.baseline:.3f} over {status.samples} frames"
@@ -463,7 +468,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"(confidence {verdict.confidence:.2f}, "
             f"{verdict.num_votes}/{verdict.window_size} votes in window"
         )
-        if stats.open_set or verdict.model_version:
+        if open_set is not None or verdict.model_version:
             line += f", model v{verdict.model_version}"
         print(line + ")")
     return 0

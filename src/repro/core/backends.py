@@ -29,7 +29,8 @@ Everything above the channel is written once, in :class:`_ShardBackend`.
 A worker ships its results per micro-batch as compact tuples, together with
 its engine's consistent :class:`~repro.core.engine.EngineStats` snapshot;
 it acks every barrier record (flush, model swap, stop) with a snapshot too,
-and reports its first exception as an ``error`` message.  The parent
+and reports its first exception as an ``error`` message.  The parent keeps
+each shard's latest snapshot, which the service adds up into its stats, and
 replays each shard's result stream into
 :class:`~repro.core.engine.SourceWindows` and
 :class:`~repro.core.lifecycle.DriftMonitor` replicas, which answer verdicts,
@@ -59,10 +60,10 @@ import multiprocessing
 import queue
 import threading
 from collections import deque
-from dataclasses import replace
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Set, Tuple, Union
 
 from repro.core.engine import (
+    MAX_SOURCES,
     EngineResult,
     EngineStats,
     InferenceEngine,
@@ -255,7 +256,6 @@ class _ShardBackend:
 
     def __init__(
         self,
-        classifier: "DeepCsiClassifier",
         num_workers: int,
         engine_kwargs: dict,
         outbox: "queue.SimpleQueue | multiprocessing.queues.Queue",
@@ -276,11 +276,7 @@ class _ShardBackend:
         # exactly what the shard's engine would.
         drift = engine_kwargs["drift"]
         self._windows = [  # guarded-by: _drain_lock
-            SourceWindows(
-                engine_kwargs["vote_window"],
-                engine_kwargs["max_sources"],
-                engine_kwargs["reject_streak"],
-            )
+            SourceWindows(engine_kwargs["vote_window"], MAX_SOURCES)
             for _ in range(num_workers)
         ]
         self._drift = [  # guarded-by: _drain_lock
@@ -288,12 +284,7 @@ class _ShardBackend:
             for _ in range(num_workers)
         ]
         # Until each worker ships its first snapshot.  guarded-by: _drain_lock
-        self._stats = [
-            EngineStats(
-                compute=classifier.compute_name, precision=engine_kwargs["precision"]
-            )
-            for _ in range(num_workers)
-        ]
+        self._stats = [EngineStats()] * num_workers
         self.shards: List[_Shard] = []
 
     def _encode(
@@ -457,7 +448,7 @@ class _ShardBackend:
     def worker_stats(self) -> Tuple[EngineStats, ...]:
         self._drain(block=False)
         with self._drain_lock:
-            return tuple(replace(stats) for stats in self._stats)
+            return tuple(self._stats)
 
     def drift_snapshot(self) -> Tuple[DriftStatus, ...]:
         """Per-source drift state across all shards, sorted by source.
@@ -525,7 +516,7 @@ class ThreadBackend(_ShardBackend):
         queue_depth: int,
         engine_kwargs: dict,
     ) -> None:
-        super().__init__(classifier, num_workers, engine_kwargs, queue.SimpleQueue())
+        super().__init__(num_workers, engine_kwargs, queue.SimpleQueue())
         for index in range(num_workers):
             inbox = _RecordQueue(queue_depth)
             worker = threading.Thread(
@@ -556,10 +547,10 @@ class ThreadBackend(_ShardBackend):
 class ProcessBackend(_ShardBackend):
     """Shard workers as child processes fed through shared-memory rings."""
 
-    #: Default ring slot size.  A paper-geometry frame or codeword record
-    #: (~3 KB) takes one slot; a model-swap blob spans consecutive slots,
-    #: and since a record may use at most ``queue_depth`` of them, the slot
-    #: size times the depth bounds the largest model a swap can ship.
+    #: Ring slot size.  A paper-geometry frame or codeword record (~3 KB)
+    #: takes one slot; a model-swap blob spans consecutive slots, and since
+    #: a record may use at most ``queue_depth`` of them, the slot size times
+    #: the depth bounds the largest model a swap can ship.
     DEFAULT_SLOT_BYTES = 32768
 
     def __init__(
@@ -568,18 +559,16 @@ class ProcessBackend(_ShardBackend):
         num_workers: int,
         queue_depth: int,
         engine_kwargs: dict,
-        slot_bytes: Optional[int] = None,
     ) -> None:
         # fork clones the trained classifier into each child copy-on-write
         # (the "weights cloned once at startup" contract); spawn is the
         # portable fallback and pickles it once per worker instead.
         methods = multiprocessing.get_all_start_methods()
         context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
-        super().__init__(classifier, num_workers, engine_kwargs, context.Queue())
-        slot_bytes = self.DEFAULT_SLOT_BYTES if slot_bytes is None else slot_bytes
+        super().__init__(num_workers, engine_kwargs, context.Queue())
         try:
             for index in range(num_workers):
-                ring = ShmRing(context, queue_depth, slot_bytes)
+                ring = ShmRing(context, queue_depth, self.DEFAULT_SLOT_BYTES)
                 worker = context.Process(
                     target=_shard_worker_main,
                     args=(index, classifier, engine_kwargs, ring, self._outbox),
@@ -631,15 +620,12 @@ def make_backend(
     num_workers: int,
     queue_depth: int,
     engine_kwargs: dict,
-    slot_bytes: Optional[int] = None,
 ) -> Union["ThreadBackend", "ProcessBackend"]:
     """Instantiate the named execution backend."""
     if backend == "threads":
         return ThreadBackend(classifier, num_workers, queue_depth, engine_kwargs)
     if backend == "processes":
-        return ProcessBackend(
-            classifier, num_workers, queue_depth, engine_kwargs, slot_bytes
-        )
+        return ProcessBackend(classifier, num_workers, queue_depth, engine_kwargs)
     raise ValueError(
         f"unknown execution backend {backend!r}; expected one of {BACKEND_NAMES}"
     )

@@ -34,8 +34,9 @@ streaming one:
   buffered frames are flushed under the old classifier first, so every
   result carries the version that actually classified it and the per-source
   version stamps are monotonically non-decreasing;
-* throughput counters (:class:`EngineStats`) expose frames/sec, rejections
-  and a score histogram for the benchmarks and the CLI.
+* counters (:class:`EngineStats`) expose frames/sec, rejections, a score
+  histogram and stage timings for the benchmarks and the CLI; they add with
+  ``+``, so a sharded service reports its shards' stats summed.
 
 This engine, bare or sharded, is the only code that turns sniffed traffic
 into accept/reject decisions, and :meth:`InferenceEngine.verdict` the only
@@ -49,6 +50,7 @@ per-source semantics defined here.
 
 from __future__ import annotations
 
+import operator
 import threading
 import time
 from collections import deque
@@ -90,6 +92,12 @@ UNKNOWN_MODULE_ID = -1
 #: Number of equal-width [0, 1] bins in the open-set score histogram.
 SCORE_HISTOGRAM_BINS = 16
 
+#: Consecutive most-recent rejections that turn a source's verdict UNKNOWN.
+REJECT_STREAK = 3
+
+#: Per-source result windows one engine (one service shard) keeps alive.
+MAX_SOURCES = 1024
+
 
 def check_observation(observation: object) -> None:
     """Raise :class:`EngineError` unless ``observation`` is an :data:`Observation`.
@@ -124,6 +132,30 @@ def check_open_set(
             f"the open-set policy's centroids have shape {shape}, but the "
             f"{num_classes}-class classifier needs one column per logit"
         )
+
+
+def check_engine_settings(
+    classifier: DeepCsiClassifier,
+    batch_size: int,
+    max_latency_frames: Optional[int],
+    open_set: Optional[OpenSetPolicy],
+    precision: str,
+) -> None:
+    """Raise :class:`EngineError` unless an engine can run these settings.
+
+    :class:`InferenceEngine` runs it on construction, and
+    :class:`~repro.core.service.StreamingService` once before it starts any
+    shard, so a bad setting fails where it is given, not at the first batch.
+    """
+    if batch_size < 1:
+        raise EngineError("batch_size must be >= 1")
+    if max_latency_frames is not None and max_latency_frames < 1:
+        raise EngineError("max_latency_frames must be >= 1 or None")
+    if precision not in PRECISION_NAMES:
+        raise EngineError(
+            f"unknown precision {precision!r}; expected one of {PRECISION_NAMES}"
+        )
+    check_open_set(open_set, classifier)
 
 
 def open_set_after_swap(
@@ -216,50 +248,43 @@ class MajorityVerdict:
     model_version: int = 0
 
 
-@dataclass(frozen=True)
-class StageProfile:
-    """Accumulated wall-clock of one batch-processing stage.
-
-    The preprocessing analogue of :class:`repro.nn.model.LayerProfile`:
-    ``reconstruct`` covers staging + Givens reconstruction of a quantised
-    micro-batch, ``features`` the feature-tensor extraction, and
-    ``inference`` the normalisation + CNN forward (one call each per
-    processed group).
-    """
-
-    name: str
-    calls: int
-    total_ns: int
-
-    @property
-    def mean_ms(self) -> float:
-        """Mean milliseconds per processed group."""
-        if self.calls == 0:
-            return 0.0
-        return self.total_ns / self.calls / 1e6
-
-
 #: Stage names reported in :attr:`EngineStats.stage_profile`, in order.
 STAGE_NAMES = ("reconstruct", "features", "inference")
 
 
-@dataclass
+def _add_timings(
+    first: Tuple[LayerProfile, ...], second: Tuple[LayerProfile, ...]
+) -> Tuple[LayerProfile, ...]:
+    """Position-by-position sum of two timing records (either may be empty)."""
+    if not first:
+        return second
+    if not second:
+        return first
+    return tuple(
+        LayerProfile(
+            mine.index, mine.name, mine.calls + theirs.calls, mine.total_ns + theirs.total_ns
+        )
+        for mine, theirs in zip(first, second)
+    )
+
+
+@dataclass(frozen=True)
 class EngineStats:
-    """Throughput counters of one engine instance.
+    """Counters of one engine, or of several engines added up.
+
+    A frozen snapshot.  ``a + b`` adds the counters, the score histogram bin
+    by bin and the timing entries position by position, so the stats of a
+    sharded service are its shards' stats summed
+    (``sum(worker_stats, EngineStats())``):
+
+    >>> total = EngineStats(frames_out=3, batches=1) + EngineStats(frames_out=5, batches=1)
+    >>> total.frames_out, total.mean_batch_size
+    (8, 4.0)
 
     ``inference_seconds`` only accounts for time spent inside batch
     processing (decode + feature extraction + CNN forward), not for the time
-    frames spent waiting in the buffer.
-
-    The derived :attr:`frames_per_second` and :attr:`mean_batch_size` are
-    safe to read at any time: on a fresh or freshly-reset engine (no batch
-    processed yet) they return ``0.0`` instead of dividing by zero.
-
-    :attr:`InferenceEngine.stats` returns a private *consistent* snapshot:
-    the engine updates every counter of a processed batch under one lock, so
-    a snapshot taken mid-drain (from a monitoring thread, or shipped to the
-    service from a worker process) never shows a batch's ``frames_out``
-    without its ``batches`` and ``inference_seconds``.
+    frames spent waiting in the buffer.  The derived rates return ``0.0``
+    instead of dividing by zero before the first batch.
     """
 
     frames_in: int = 0
@@ -268,21 +293,30 @@ class EngineStats:
     inference_seconds: float = 0.0
     #: Frames whose open-set score fell below the threshold (0 closed-set).
     frames_rejected: int = 0
-    #: Histogram of open-set scores over ``SCORE_HISTOGRAM_BINS`` equal
-    #: [0, 1] bins; empty when the engine runs closed-set.
-    score_histogram: Tuple[int, ...] = ()
-    #: Version of the currently-installed model snapshot (0 = as-built).
-    model_version: int = 0
-    #: Name of the active compute backend ("fp64" = default path).
-    compute: str = "fp64"
-    #: Preprocessing precision ("exact" = bit-identical float64 LUT path,
-    #: "fast" = complex64/float32 codeword path).
-    precision: str = "exact"
+    #: Open-set scores counted in ``SCORE_HISTOGRAM_BINS`` equal [0, 1] bins
+    #: (all zero on a closed-set engine).
+    score_histogram: Tuple[int, ...] = (0,) * SCORE_HISTOGRAM_BINS
+    #: Batch-processing timings per stage (:data:`STAGE_NAMES`), one call
+    #: each per processed group: ``reconstruct`` covers staging + Givens
+    #: reconstruction, ``features`` the feature extraction and ``inference``
+    #: the normalisation + CNN forward.  Empty before the first batch.
+    stage_profile: Tuple[LayerProfile, ...] = ()
     #: Per-layer forward timings, populated when the engine profiles.
     layer_profile: Tuple[LayerProfile, ...] = ()
-    #: Per-stage batch-processing timings (reconstruct / features /
-    #: inference), always accumulated -- see :class:`StageProfile`.
-    stage_profile: Tuple[StageProfile, ...] = ()
+
+    def __add__(self, other: "EngineStats") -> "EngineStats":
+        if not isinstance(other, EngineStats):
+            return NotImplemented
+        return EngineStats(
+            self.frames_in + other.frames_in,
+            self.frames_out + other.frames_out,
+            self.batches + other.batches,
+            self.inference_seconds + other.inference_seconds,
+            self.frames_rejected + other.frames_rejected,
+            tuple(map(operator.add, self.score_histogram, other.score_histogram)),
+            _add_timings(self.stage_profile, other.stage_profile),
+            _add_timings(self.layer_profile, other.layer_profile),
+        )
 
     @property
     def frames_per_second(self) -> float:
@@ -318,18 +352,13 @@ class SourceWindows:
     cross-process round trip per :meth:`verdict` call.
     """
 
-    def __init__(
-        self, vote_window: int, max_sources: int, reject_streak: int = 3
-    ) -> None:
+    def __init__(self, vote_window: int, max_sources: int) -> None:
         if vote_window < 1:
             raise EngineError("vote_window must be >= 1")
         if max_sources < 1:
             raise EngineError("max_sources must be >= 1")
-        if reject_streak < 1:
-            raise EngineError("reject_streak must be >= 1")
         self.vote_window = vote_window
         self.max_sources = max_sources
-        self.reject_streak = reject_streak
         self._windows: Dict[str, Deque[EngineResult]] = {}
 
     def append(self, result: EngineResult) -> None:
@@ -354,7 +383,8 @@ class SourceWindows:
 
         * no accepted result is in the window, or
         * rejections match/outnumber the winner's votes, or
-        * the ``reject_streak`` most recent results were all rejected.
+        * the :data:`REJECT_STREAK` most recent results (at most the whole
+          window) were all rejected.
 
         The streak rule is what keeps an always-on verdict current: a source
         that was enrolled-looking for most of the window but whose *latest*
@@ -388,7 +418,7 @@ class SourceWindows:
             winner = max(
                 votes, key=lambda module: (len(votes[module]), np.mean(votes[module]))
             )
-        streak = min(self.reject_streak, self.vote_window)
+        streak = min(REJECT_STREAK, self.vote_window)
         if (
             winner is None
             or num_rejected >= len(votes[winner])
@@ -450,12 +480,11 @@ class InferenceEngine:
         full batch triggers processing).  Effectively caps the per-frame
         queueing delay of a live stream at ``max_latency_frames`` arrivals.
     vote_window:
-        Length of the per-source ring buffers used by :meth:`verdict`.
-    max_sources:
-        Maximum number of per-source ring buffers kept alive.  An always-on
-        observer sees an unbounded set of source addresses (spoofed MACs
-        included); beyond this many the least-recently-seen source's window
-        is evicted so memory stays bounded.
+        Length of the per-source ring buffers used by :meth:`verdict`.  An
+        always-on observer sees an unbounded set of source addresses
+        (spoofed MACs included), so at most :data:`MAX_SOURCES` windows stay
+        alive; beyond that the least-recently-seen source's window is
+        evicted.
     open_set:
         Optional :class:`~repro.core.openset.OpenSetPolicy`.  When set, every
         frame's known-ness is scored on the classification forward pass;
@@ -467,9 +496,6 @@ class InferenceEngine:
         engine feeds every frame's score into a per-source
         :class:`~repro.core.lifecycle.DriftMonitor`
         (see :meth:`drift_snapshot`).
-    reject_streak:
-        Number of *consecutive* most-recent rejections that force a
-        source's verdict to UNKNOWN regardless of older accepted votes.
     compute:
         Optional compute backend name (``"fp32"``) routed to
         :meth:`DeepCsiClassifier.set_compute`.  ``None`` keeps whatever the
@@ -509,30 +535,18 @@ class InferenceEngine:
         batch_size: int = 64,
         max_latency_frames: Optional[int] = None,
         vote_window: int = 16,
-        max_sources: int = 1024,
         open_set: Optional[OpenSetPolicy] = None,
         drift: Optional[DriftConfig] = None,
-        reject_streak: int = 3,
         compute: Optional[str] = None,
         precision: str = "exact",
         profile: bool = False,
     ) -> None:
-        if batch_size < 1:
-            raise EngineError("batch_size must be >= 1")
-        if max_latency_frames is not None and max_latency_frames < 1:
-            raise EngineError("max_latency_frames must be >= 1 or None")
-        if precision not in PRECISION_NAMES:
-            raise EngineError(
-                f"unknown precision {precision!r}; expected one of "
-                f"{PRECISION_NAMES}"
-            )
+        check_engine_settings(classifier, batch_size, max_latency_frames, open_set, precision)
         self.classifier = classifier
         self.batch_size = batch_size
         self.max_latency_frames = max_latency_frames
         self.vote_window = vote_window
-        self.max_sources = max_sources
         self.precision = precision
-        check_open_set(open_set, classifier)
         self._open_set = open_set
         self._drift = DriftMonitor(drift) if drift is not None else None
         if compute is not None:
@@ -541,16 +555,12 @@ class InferenceEngine:
         if self._profile and classifier.model is not None:
             classifier.model.enable_profiling()
         self._model_version = 0
-        self._stats = EngineStats()  # guarded-by: _stats_lock
-        # Per-stage [calls, total_ns] accumulators.  guarded-by: _stats_lock
-        self._stage_totals: Dict[str, List[int]] = {
-            name: [0, 0] for name in STAGE_NAMES
-        }
-        # Open-set score histogram bin counts.  guarded-by: _stats_lock
-        self._score_hist: List[int] = [0] * SCORE_HISTOGRAM_BINS
+        self._frames_in = 0  # guarded-by: _stats_lock
+        # The processed batches' counters, summed.  guarded-by: _stats_lock
+        self._processed = EngineStats()
         self._stats_lock = threading.Lock()
         self._pending: List[_PendingObservation] = []
-        self._windows = SourceWindows(vote_window, max_sources, reject_streak)
+        self._windows = SourceWindows(vote_window, MAX_SOURCES)
         self._sequence = 0
         # Arena backing the codeword-native preprocessing path (codeword
         # staging, Givens accumulator + scratch, feature gathers/output).
@@ -558,30 +568,20 @@ class InferenceEngine:
 
     @property
     def stats(self) -> EngineStats:
-        """A consistent point-in-time snapshot of the throughput counters.
+        """A consistent point-in-time snapshot of the engine's counters.
 
-        All counters of one processed batch are published atomically, so a
-        reader in another thread (the service's stats aggregation, a
-        monitoring loop) never observes a half-updated batch.
+        All counters of one processed batch are published together under
+        one lock, so a reader in another thread (a monitoring loop, or the
+        shard worker that ships the snapshot to the service) never observes
+        a half-updated batch.
         """
-        with self._stats_lock:
-            stage_profile = tuple(
-                StageProfile(name=name, calls=calls, total_ns=total_ns)
-                for name, (calls, total_ns) in self._stage_totals.items()
-                if calls
-            )
-            snapshot = replace(
-                self._stats,
-                compute=self.compute,
-                precision=self.precision,
-                stage_profile=stage_profile,
-                score_histogram=(
-                    tuple(self._score_hist) if self._open_set is not None else ()
-                ),
-            )
+        layer_profile: Tuple[LayerProfile, ...] = ()
         if self._profile and self.classifier.model is not None:
-            snapshot.layer_profile = self.classifier.model.profile()
-        return snapshot
+            layer_profile = self.classifier.model.profile()
+        with self._stats_lock:
+            return replace(
+                self._processed, frames_in=self._frames_in, layer_profile=layer_profile
+            )
 
     @property
     def compute(self) -> str:
@@ -633,8 +633,6 @@ class InferenceEngine:
             classifier.model.enable_profiling()
         self._open_set = open_set
         self._model_version = version.version
-        with self._stats_lock:
-            self._stats.model_version = version.version
         return flushed
 
     def drift_snapshot(self) -> Tuple[DriftStatus, ...]:
@@ -677,7 +675,7 @@ class InferenceEngine:
     def _enqueue(self, entry: _PendingObservation) -> List[EngineResult]:
         self._pending.append(entry)
         with self._stats_lock:
-            self._stats.frames_in += 1
+            self._frames_in += 1
         threshold = self.batch_size
         if self.max_latency_frames is not None:
             threshold = min(threshold, self.max_latency_frames)
@@ -740,9 +738,8 @@ class InferenceEngine:
             self._drift.clear()
         self._sequence = 0
         with self._stats_lock:
-            self._stats = EngineStats(model_version=self._model_version)
-            self._stage_totals = {name: [0, 0] for name in STAGE_NAMES}
-            self._score_hist = [0] * SCORE_HISTOGRAM_BINS
+            self._frames_in = 0
+            self._processed = EngineStats()
 
     # ------------------------------------------------------------------ #
     # Internals
@@ -847,8 +844,7 @@ class InferenceEngine:
             return []
         pending, self._pending = self._pending, []
         started = time.perf_counter()
-        stage_ns = {name: 0 for name in STAGE_NAMES}
-        stage_calls = {name: 0 for name in STAGE_NAMES}
+        stage_ns = [0] * len(STAGE_NAMES)
 
         results: List[Optional[EngineResult]] = [None] * len(pending)
         index_of = {id(entry): idx for idx, entry in enumerate(pending)}
@@ -895,18 +891,15 @@ class InferenceEngine:
                 arena=self._arena,
             )
             tock = time.perf_counter_ns()
-            stage_ns["reconstruct"] += tock - tick
-            stage_calls["reconstruct"] += 1
+            stage_ns[0] += tock - tick
             features = staged_extractor.transform_accumulator(
                 accumulator, num_streams, arena=self._arena
             )
             tick = time.perf_counter_ns()
-            stage_ns["features"] += tick - tock
-            stage_calls["features"] += 1
+            stage_ns[1] += tick - tock
             ids, confidences, scores, accepted = self._classify_features(features)
             tock = time.perf_counter_ns()
-            stage_ns["inference"] += tock - tick
-            stage_calls["inference"] += 1
+            stage_ns[2] += tock - tick
             if open_set:
                 rejected += int(len(accepted) - np.count_nonzero(accepted))
                 hist += self._histogram(scores)
@@ -915,21 +908,22 @@ class InferenceEngine:
             )
 
         elapsed = time.perf_counter() - started
-        # Publish the whole batch's counters atomically so concurrent stats
-        # snapshots never see frames_out without the matching batches /
-        # inference_seconds update.
+        groups = len(quantized_groups)
+        batch = EngineStats(
+            frames_out=len(pending),
+            batches=1,
+            inference_seconds=elapsed,
+            frames_rejected=rejected,
+            score_histogram=tuple(hist.tolist()),
+            stage_profile=tuple(
+                LayerProfile(index, name, groups, stage_ns[index])
+                for index, name in enumerate(STAGE_NAMES)
+            ),
+        )
+        # Publish the whole batch at once so concurrent stats snapshots never
+        # see frames_out without the matching batches / inference_seconds.
         with self._stats_lock:
-            self._stats.frames_out += len(pending)
-            self._stats.batches += 1
-            self._stats.inference_seconds += elapsed
-            self._stats.frames_rejected += rejected
-            if open_set:
-                for bin_index in range(SCORE_HISTOGRAM_BINS):
-                    self._score_hist[bin_index] += int(hist[bin_index])
-            for name in STAGE_NAMES:
-                totals = self._stage_totals[name]
-                totals[0] += stage_calls[name]
-                totals[1] += stage_ns[name]
+            self._processed = self._processed + batch
 
         ordered = [result for result in results if result is not None]
         drift = self._drift

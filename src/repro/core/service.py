@@ -29,10 +29,11 @@ out:
 * frame parsing, Givens reconstruction, feature extraction and the CNN
   forward all run on the workers, in micro-batches, exactly as in the
   single engine;
-* :attr:`StreamingService.stats` aggregates the per-shard
-  :class:`~repro.core.engine.EngineStats` into service-level throughput and
-  latency counters, from the consistent snapshots the shard workers ship
-  with their results and barrier acks.
+* :attr:`StreamingService.stats` adds up the per-shard
+  :class:`~repro.core.engine.EngineStats` (the consistent snapshots the
+  shard workers ship with their results and barrier acks) into one
+  :class:`ServiceStats`, which is an ``EngineStats`` plus the counters only
+  a service has.
 
 Because each shard batches the traffic of *all* the sources hashed to it,
 the service amortises the per-batch cost across sources: many low-rate
@@ -67,12 +68,12 @@ from repro.core.backends import BACKEND_NAMES, WorkerFailure, make_backend
 from repro.core.classifier import DeepCsiClassifier
 from repro.core.engine import (
     ANONYMOUS_SOURCE,
-    PRECISION_NAMES,
     EngineError,
     EngineResult,
     EngineStats,
     MajorityVerdict,
     Observation,
+    check_engine_settings,
     check_observation,
     open_set_after_swap,
 )
@@ -145,27 +146,18 @@ def shard_for_source(source: str, num_shards: int) -> int:
 
 
 @dataclass(frozen=True)
-class ServiceStats:
-    """Aggregated throughput counters of one :class:`StreamingService`.
+class ServiceStats(EngineStats):
+    """The stats of one :class:`StreamingService`: its shards' stats added up.
 
-    A snapshot: reading :attr:`StreamingService.stats` sums the latest
-    per-shard :class:`~repro.core.engine.EngineStats` the workers shipped.
+    A snapshot.  Every counter inherited from
+    :class:`~repro.core.engine.EngineStats` is the sum of the latest
+    per-shard snapshots the workers shipped, except ``frames_in``, which
+    counts the observations :meth:`StreamingService.submit` accepted.  On
+    multi-core hardware the summed ``inference_seconds`` exceeds the
+    wall-clock time because shards overlap.
 
     Attributes
     ----------
-    num_workers:
-        Number of worker shards.
-    backend:
-        Execution backend the shards run on (``threads`` or ``processes``).
-    frames_in:
-        Observations accepted by :meth:`StreamingService.submit`.
-    frames_out:
-        Observations classified by the worker engines so far.
-    batches:
-        Micro-batches processed across all shards.
-    inference_seconds:
-        Summed in-batch processing time of all shards (on multi-core
-        hardware this exceeds the wall-clock time because shards overlap).
     queue_full_waits:
         Number of times a submitter blocked on a full shard queue/ring
         (backpressure events).
@@ -173,46 +165,11 @@ class ServiceStats:
         Wall-clock seconds since the service started.
     worker_stats:
         Per-shard :class:`~repro.core.engine.EngineStats` snapshots.
-    open_set:
-        Whether the shard engines run with an open-set policy.
-    frames_rejected:
-        Frames whose open-set score fell below the threshold, across shards.
-    score_histogram:
-        Element-wise sum of the shards' open-set score histograms (empty
-        when the service runs closed-set).
-    model_version:
-        Version of the last successfully installed model snapshot (0 until
-        the first :meth:`StreamingService.swap_model`).
-    drift:
-        Per-source :class:`~repro.core.lifecycle.DriftStatus` snapshots,
-        sorted by source (empty when drift monitoring is off).
     """
 
-    num_workers: int
-    backend: str = "threads"
-    #: Compute backend the shard engines run (``"fp64"`` = default path).
-    compute: str = "fp64"
-    #: Preprocessing precision of the shard engines (``"exact"``/``"fast"``).
-    precision: str = "exact"
-    frames_in: int = 0
-    frames_out: int = 0
-    batches: int = 0
-    inference_seconds: float = 0.0
     queue_full_waits: int = 0
     wall_seconds: float = 0.0
     worker_stats: Tuple[EngineStats, ...] = ()
-    open_set: bool = False
-    frames_rejected: int = 0
-    score_histogram: Tuple[int, ...] = ()
-    model_version: int = 0
-    drift: Tuple[DriftStatus, ...] = ()
-
-    @property
-    def frames_per_second(self) -> float:
-        """Classified frames per second of summed shard inference time."""
-        if self.inference_seconds <= 0.0:
-            return 0.0
-        return self.frames_out / self.inference_seconds
 
     @property
     def wall_frames_per_second(self) -> float:
@@ -220,25 +177,6 @@ class ServiceStats:
         if self.wall_seconds <= 0.0:
             return 0.0
         return self.frames_out / self.wall_seconds
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average frames per micro-batch across all shards."""
-        if self.batches == 0:
-            return 0.0
-        return self.frames_out / self.batches
-
-    @property
-    def rejection_rate(self) -> float:
-        """Fraction of classified frames the open-set policy rejected."""
-        if self.frames_out == 0:
-            return 0.0
-        return self.frames_rejected / self.frames_out
-
-    @property
-    def drifting_sources(self) -> Tuple[str, ...]:
-        """Source addresses currently flagged by the drift monitor."""
-        return tuple(status.source for status in self.drift if status.drifting)
 
 
 class StreamingService:
@@ -264,10 +202,11 @@ class StreamingService:
         (thread backend) or slots of its shared-memory ring (process
         backend).  A full shard blocks the submitter (backpressure) instead
         of buffering without limit.
-    batch_size / max_latency_frames / vote_window / max_sources:
-        Forwarded to every shard's :class:`~repro.core.engine.InferenceEngine`.
-        ``max_sources`` bounds the ring buffers *per shard*, so the service
-        keeps at most ``num_workers * max_sources`` source windows alive.
+    batch_size / max_latency_frames / vote_window:
+        Forwarded to every shard's :class:`~repro.core.engine.InferenceEngine`
+        and checked once here, before any shard starts
+        (:func:`~repro.core.engine.check_engine_settings`).  Each shard keeps
+        at most :data:`~repro.core.engine.MAX_SOURCES` source windows alive.
     open_set:
         Optional :class:`~repro.core.openset.OpenSetPolicy` forwarded to
         every shard engine: frames below the threshold are rejected and
@@ -275,14 +214,8 @@ class StreamingService:
         :data:`~repro.core.engine.UNKNOWN_MODULE_ID`.
     drift:
         Optional :class:`~repro.core.lifecycle.DriftConfig` enabling
-        per-source drift monitoring on every shard (surfaced in
-        :attr:`ServiceStats.drift`).
-    reject_streak:
-        Consecutive most-recent rejections that force a source's verdict to
-        UNKNOWN (see :class:`~repro.core.engine.SourceWindows`).
-    slot_bytes:
-        Process backend only: size of one shared-memory ring slot.  Records
-        larger than a slot transparently span consecutive slots.
+        per-source drift monitoring on every shard (read through
+        :meth:`drift_snapshot`).
     compute:
         Optional compute backend name (``"fp32"``) attached to the
         classifier *before* the shards copy it, so every shard inherits the
@@ -318,12 +251,9 @@ class StreamingService:
         batch_size: int = 64,
         max_latency_frames: Optional[int] = None,
         vote_window: int = 16,
-        max_sources: int = 1024,
         open_set: Optional[OpenSetPolicy] = None,
         drift: Optional[DriftConfig] = None,
-        reject_streak: int = 3,
         backend: str = "threads",
-        slot_bytes: Optional[int] = None,
         compute: Optional[str] = None,
         precision: str = "exact",
     ) -> None:
@@ -331,10 +261,10 @@ class StreamingService:
             raise ServiceError(
                 f"unknown backend {backend!r}; expected one of {BACKEND_NAMES}"
             )
-        if precision not in PRECISION_NAMES:
-            raise ServiceError(
-                f"unknown precision {precision!r}; expected one of {PRECISION_NAMES}"
-            )
+        try:
+            check_engine_settings(classifier, batch_size, max_latency_frames, open_set, precision)
+        except EngineError as error:
+            raise ServiceError(str(error)) from error
         if compute is not None:
             # Attach before the backend copies the classifier so every shard
             # inherits the dtype.
@@ -360,20 +290,13 @@ class StreamingService:
             batch_size=batch_size,
             max_latency_frames=max_latency_frames,
             vote_window=vote_window,
-            max_sources=max_sources,
             open_set=open_set,
             drift=drift,
-            reject_streak=reject_streak,
             precision=precision,
         )
         try:
             self._backend = make_backend(
-                backend,
-                classifier,
-                num_workers,
-                queue_depth,
-                engine_kwargs,
-                slot_bytes=slot_bytes,
+                backend, classifier, num_workers, queue_depth, engine_kwargs
             )
         except ValueError as error:
             raise ServiceError(str(error)) from error
@@ -576,41 +499,24 @@ class StreamingService:
 
     @property
     def stats(self) -> ServiceStats:
-        """Aggregated service-level counters (a point-in-time snapshot).
+        """The shards' stats added up (a point-in-time snapshot).
 
         Every shard worker ships its engine's stats with each micro-batch of
         results and with every barrier ack.  After a barrier
         (:meth:`flush`, :meth:`swap_model` or :meth:`close`) the per-shard
         counters are therefore exact; between barriers they may lag by the
-        results not yet received, on either backend.
+        results not yet received, on either backend.  ``frames_in`` is the
+        service's own count of accepted submits.
         """
         worker_stats = self._backend.worker_stats()
         with self._submit_lock:
             frames_in = self._frames_in
-        with self._swap_lock:
-            model_version = self._model_version
-            open_set = self._open_set is not None
-        histograms = [stats.score_histogram for stats in worker_stats if stats.score_histogram]
-        score_histogram: Tuple[int, ...] = ()
-        if histograms:
-            score_histogram = tuple(sum(column) for column in zip(*histograms))
+        total = sum(worker_stats, EngineStats())
         return ServiceStats(
-            num_workers=self.num_workers,
-            backend=self.backend_name,
-            compute=worker_stats[0].compute,
-            precision=self.precision,
-            frames_in=frames_in,
-            frames_out=sum(stats.frames_out for stats in worker_stats),
-            batches=sum(stats.batches for stats in worker_stats),
-            inference_seconds=sum(stats.inference_seconds for stats in worker_stats),
+            **dict(vars(total), frames_in=frames_in),
             queue_full_waits=self._backend.queue_full_waits,
             wall_seconds=time.monotonic() - self._started_monotonic,
-            worker_stats=tuple(worker_stats),
-            open_set=open_set,
-            frames_rejected=sum(stats.frames_rejected for stats in worker_stats),
-            score_histogram=score_histogram,
-            model_version=model_version,
-            drift=self._backend.drift_snapshot(),
+            worker_stats=worker_stats,
         )
 
     # ------------------------------------------------------------------ #

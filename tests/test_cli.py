@@ -239,12 +239,15 @@ class TestProbeTrainEvaluate:
         self, generated_dataset, trained_model, capsys, rule_args, backend
     ):
         """``serve --open-set`` calibrates a FAR threshold on synthetic
-        spoofed frames, then reports how many served frames it rejected."""
+        spoofed frames, then reports how many served frames it rejected.
+        With ``--swap-demo`` the periodic stats, the open-set line, the drift
+        lines and the verdicts report on the swapped-in version."""
         code = main(
             [
                 "serve", str(generated_dataset), str(trained_model),
                 "--split", "S1", "--workers", "1", "--batch-size", "8",
                 "--window", "4", "--backend", backend, "--open-set", *rule_args,
+                "--swap-demo", "--stats-every", "8",
             ]
         )
         captured = capsys.readouterr().out
@@ -258,10 +261,23 @@ class TestProbeTrainEvaluate:
             re.MULTILINE,
         )
         assert re.search(
-            r"^  open-set: \d+ of 27 frames rejected \(\d+\.\d%\), model version 0$",
+            r"^\[swap\] model version 1 installed at frame 13 ", captured, re.MULTILINE
+        )
+        lines = captured.splitlines()
+        stats_lines = [line for line in lines if line.startswith("[stats] ")]
+        assert len(stats_lines) == 27 // 8
+        for line in stats_lines:
+            assert re.search(r" rejected=\d+ reject_rate=\d\.\d\d", line), line
+        assert re.search(
+            r"^  open-set: \d+ of 27 frames rejected \(\d+\.\d%\), model version 1$",
             captured,
             re.MULTILINE,
         )
+        drifting = re.findall(r"^  drift (module-\d\d): score ", captured, re.MULTILINE)
+        assert drifting == ["module-00", "module-01", "module-02"]
+        for line in lines:
+            if ": verdict module " in line:
+                assert line.endswith(", model v1)"), line
 
     def test_authenticate_compute_backends_and_profile(
         self, generated_dataset, tmp_path, capsys

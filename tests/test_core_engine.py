@@ -1,5 +1,7 @@
 """Tests for the batched streaming inference engine."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
 from repro.core.backends import _decode
 from repro.core.engine import (
     ANONYMOUS_SOURCE,
+    REJECT_STREAK,
+    SCORE_HISTOGRAM_BINS,
     UNKNOWN_MODULE_ID,
     EngineError,
     EngineResult,
@@ -33,6 +37,7 @@ from repro.feedback.capture import (
 from repro.feedback.frames import FeedbackFrame, FrameError
 from repro.feedback.givens import compress_v_matrix
 from repro.feedback.quantization import QuantizationConfig, quantize_angles
+from repro.nn.model import LayerProfile
 from repro.nn.training import TrainingConfig
 from repro.phy.channel import MultipathChannel
 from repro.phy.devices import AccessPoint, make_beamformee
@@ -347,18 +352,18 @@ class TestEngineVoting:
         with pytest.raises(EngineError):
             engine.verdict("nobody")
 
-    def test_source_windows_are_bounded(self, trained_classifier, test_codewords):
-        engine = InferenceEngine(trained_classifier, batch_size=1, max_sources=2)
+    def test_source_windows_are_bounded(self):
+        windows = SourceWindows(vote_window=16, max_sources=2)
         for index in range(4):
-            engine.submit(test_codewords[index], source=f"station-{index}")
+            windows.append(EngineResult(0, 0.9, source=f"station-{index}"))
         # Only the two most recently seen sources keep a ring buffer.
-        assert engine.sources == ["station-2", "station-3"]
+        assert windows.sources == ["station-2", "station-3"]
         with pytest.raises(EngineError):
-            engine.verdict("station-0")
+            windows.verdict("station-0")
         # A recently-updated source survives eviction over a stale one.
-        engine.submit(test_codewords[0], source="station-2")
-        engine.submit(test_codewords[1], source="station-4")
-        assert engine.sources == ["station-2", "station-4"]
+        windows.append(EngineResult(0, 0.9, source="station-2"))
+        windows.append(EngineResult(0, 0.9, source="station-4"))
+        assert windows.sources == ["station-2", "station-4"]
 
     def test_reset_clears_state(self, trained_classifier, test_codewords):
         engine = InferenceEngine(trained_classifier, batch_size=2)
@@ -383,12 +388,42 @@ class TestEngineStatsGuards:
         assert engine.stats.frames_per_second == 0.0
         assert engine.stats.mean_batch_size == 0.0
 
+    def test_stats_add_counters_bins_and_timings(self):
+        first = EngineStats(
+            frames_in=4,
+            frames_out=3,
+            batches=1,
+            inference_seconds=0.5,
+            frames_rejected=1,
+            score_histogram=(1,) + (0,) * 14 + (2,),
+            stage_profile=(LayerProfile(0, "reconstruct", 1, 10),),
+        )
+        second = EngineStats(
+            frames_out=5,
+            batches=1,
+            inference_seconds=0.25,
+            score_histogram=(0,) * 15 + (5,),
+            stage_profile=(LayerProfile(0, "reconstruct", 2, 30),),
+        )
+        total = first + second
+        assert (total.frames_in, total.frames_out, total.batches) == (4, 8, 2)
+        assert (total.inference_seconds, total.frames_rejected) == (0.75, 1)
+        assert total.score_histogram == (1,) + (0,) * 14 + (7,)
+        assert total.stage_profile == (LayerProfile(0, "reconstruct", 3, 40),)
+        assert total.layer_profile == ()
+        assert total.mean_batch_size == 4.0
+        assert sum([first, second], EngineStats()) == total
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            total.frames_out = 0
+
     def test_reset_engine_stats_are_safe_to_read(
         self, trained_classifier, test_codewords
     ):
         engine = InferenceEngine(trained_classifier, batch_size=2)
         engine.drain(test_codewords[:4])
         assert engine.stats.frames_per_second > 0.0
+        # A closed-set engine keeps every histogram bin, all at zero.
+        assert engine.stats.score_histogram == (0,) * SCORE_HISTOGRAM_BINS
         engine.reset()
         assert engine.stats.frames_per_second == 0.0
         assert engine.stats.mean_batch_size == 0.0
@@ -492,7 +527,7 @@ class TestSourceWindowsRejection:
 
     def test_trailing_rejections_beat_older_accepted_majority(self):
         """An old accepted majority must NOT outvote a fresh reject streak."""
-        windows = SourceWindows(vote_window=8, max_sources=4, reject_streak=3)
+        windows = SourceWindows(vote_window=8, max_sources=4)
         for _ in range(5):
             windows.append(self._result(1))
         for _ in range(3):
@@ -503,7 +538,7 @@ class TestSourceWindowsRejection:
         assert verdict.window_size == 8
 
     def test_stray_rejection_does_not_flip_the_verdict(self):
-        windows = SourceWindows(vote_window=8, max_sources=4, reject_streak=3)
+        windows = SourceWindows(vote_window=8, max_sources=4)
         for _ in range(6):
             windows.append(self._result(2))
         windows.append(self._result(2, accepted=False, score=0.3))
@@ -535,7 +570,7 @@ class TestSourceWindowsRejection:
 
     def test_rejections_outnumbering_the_winner_give_unknown(self):
         """A latest accepted frame does not outvote an older rejected majority."""
-        windows = SourceWindows(vote_window=8, max_sources=4, reject_streak=3)
+        windows = SourceWindows(vote_window=8, max_sources=4)
         windows.append(self._result(1, accepted=False, score=0.1))
         windows.append(self._result(1, accepted=False, score=0.1))
         windows.append(self._result(1, confidence=0.8))
@@ -545,7 +580,7 @@ class TestSourceWindowsRejection:
         assert verdict.num_votes == verdict.num_rejected == 2
 
     def test_rejections_matching_winner_votes_give_unknown(self):
-        windows = SourceWindows(vote_window=8, max_sources=4, reject_streak=5)
+        windows = SourceWindows(vote_window=8, max_sources=4)
         windows.append(self._result(0))
         windows.append(self._result(0, accepted=False, score=0.1))
         windows.append(self._result(0, accepted=False, score=0.1))
@@ -564,9 +599,10 @@ class TestSourceWindowsRejection:
         assert verdict.num_votes == verdict.num_rejected == 2
 
     def test_streak_is_capped_by_the_window(self):
-        """reject_streak larger than the window still triggers when the
+        """A REJECT_STREAK longer than the window still triggers when the
         whole window is rejected."""
-        windows = SourceWindows(vote_window=2, max_sources=4, reject_streak=10)
+        assert REJECT_STREAK > 2
+        windows = SourceWindows(vote_window=2, max_sources=4)
         windows.append(self._result(1, accepted=False, score=0.1))
         windows.append(self._result(1, accepted=False, score=0.1))
         assert windows.verdict("src").module_id == UNKNOWN_MODULE_ID
@@ -577,7 +613,3 @@ class TestSourceWindowsRejection:
         windows.append(self._result(1, version=2))
         windows.append(self._result(1, version=1))
         assert windows.verdict("src").model_version == 2
-
-    def test_invalid_reject_streak_rejected(self):
-        with pytest.raises(EngineError, match="reject_streak"):
-            SourceWindows(vote_window=4, max_sources=4, reject_streak=0)

@@ -4,12 +4,15 @@ import sys
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
-from repro.core.engine import InferenceEngine
+from repro.core.engine import EngineError, InferenceEngine
+from repro.core.lifecycle import DriftConfig
 from repro.feedback.capture import CapturedFeedback
 from repro.core.model import DeepCsiModelConfig
+from repro.core.openset import OpenSetPolicy
 from repro.core.service import (
     ServiceError,
     ServiceStats,
@@ -148,28 +151,35 @@ class TestServiceResults:
             assert got.predicted_module_id == want.predicted_module_id
             assert got.confidence == pytest.approx(want.confidence, rel=1e-12)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_verdicts_match_single_engine(
-        self, trained_classifier, multi_source_stream
+        self, trained_classifier, multi_source_stream, backend
     ):
-        engine = InferenceEngine(trained_classifier, batch_size=4, vote_window=8)
+        """The parent-side vote windows and drift monitors replayed from the
+        shards' results answer exactly what one engine fed the whole stream
+        answers."""
+        engine = InferenceEngine(
+            trained_classifier, batch_size=4, vote_window=8, drift=DriftConfig()
+        )
         for source, quantized in multi_source_stream:
             engine.submit(quantized, source=source)
         engine.flush()
 
         with StreamingService(
-            trained_classifier, num_workers=4, batch_size=4, vote_window=8
+            trained_classifier,
+            num_workers=4,
+            batch_size=4,
+            vote_window=8,
+            drift=DriftConfig(),
+            backend=backend,
         ) as service:
             for source, quantized in multi_source_stream:
                 service.submit(quantized, source=source)
             service.flush()
             assert service.sources == engine.sources
             for source in engine.sources:
-                got = service.verdict(source)
-                want = engine.verdict(source)
-                assert got.module_id == want.module_id
-                assert got.num_votes == want.num_votes
-                assert got.window_size == want.window_size
-                assert got.confidence == pytest.approx(want.confidence, rel=1e-12)
+                assert service.verdict(source) == engine.verdict(source)
+            assert service.drift_snapshot() == engine.drift_snapshot()
 
     def test_drain_returns_submission_order(self, trained_classifier, test_codewords):
         with StreamingService(
@@ -352,13 +362,49 @@ class TestShardProtocol:
                 service.submit(test_codewords[0], source="alice")
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_worker_that_cannot_build_its_engine_fails_the_flush(
-        self, trained_classifier, test_codewords, backend
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"batch_size": 0}, "batch_size must be >= 1"),
+            ({"max_latency_frames": 0}, "max_latency_frames must be >= 1"),
+            (
+                {
+                    "open_set": OpenSetPolicy(
+                        scoring="centroid_distance", centroids=np.zeros((3, 5))
+                    )
+                },
+                r"centroids have shape \(3, 5\)",
+            ),
+        ],
+        ids=["batch_size", "max_latency_frames", "centroids"],
+    )
+    def test_bad_engine_settings_are_refused_before_any_worker_starts(
+        self, trained_classifier, monkeypatch, backend, setting, message
     ):
+        started = []
+        monkeypatch.setattr(
+            "repro.core.service.make_backend", lambda *args: started.append(args)
+        )
+        with pytest.raises(ServiceError, match=message):
+            StreamingService(trained_classifier, num_workers=1, backend=backend, **setting)
+        assert started == []
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_worker_that_cannot_build_its_engine_fails_the_flush(
+        self, trained_classifier, test_codewords, monkeypatch, backend
+    ):
+        """The worker reports its failed engine construction and returns;
+        the next flush raises it.  A process shard inherits the patched
+        engine class through fork."""
+
+        def broken_engine(*args, **kwargs):
+            raise EngineError("injected engine failure")
+
+        monkeypatch.setattr("repro.core.backends.InferenceEngine", broken_engine)
         with StreamingService(
-            trained_classifier, num_workers=1, batch_size=0, backend=backend
+            trained_classifier, num_workers=1, batch_size=4, backend=backend
         ) as service:
-            with pytest.raises(ServiceError, match="batch_size must be >= 1"):
+            with pytest.raises(ServiceError, match="EngineError: injected engine failure"):
                 service.submit(test_codewords[0], source="alice")
                 service.flush()
 
@@ -367,22 +413,30 @@ class TestShardProtocol:
         self, trained_classifier, multi_source_stream, backend
     ):
         with StreamingService(
-            trained_classifier, num_workers=3, batch_size=4, backend=backend
+            trained_classifier,
+            num_workers=3,
+            batch_size=4,
+            open_set=OpenSetPolicy(scoring="max_softmax", threshold=0.5),
+            backend=backend,
         ) as service:
             for source, quantized in multi_source_stream:
                 service.submit(quantized, source=source)
             service.flush()
             stats = service.stats
-        assert stats.backend == backend
-        assert stats.num_workers == 3
-        assert len(stats.worker_stats) == 3
+        workers = stats.worker_stats
+        assert len(workers) == 3
         assert stats.frames_in == len(multi_source_stream)
-        assert stats.frames_out == sum(w.frames_out for w in stats.worker_stats)
+        assert stats.frames_out == sum(w.frames_out for w in workers)
         assert stats.frames_out == len(multi_source_stream)
-        assert stats.batches == sum(w.batches for w in stats.worker_stats)
+        assert stats.batches == sum(w.batches for w in workers)
         assert stats.inference_seconds == pytest.approx(
-            sum(w.inference_seconds for w in stats.worker_stats)
+            sum(w.inference_seconds for w in workers)
         )
+        assert stats.frames_rejected == sum(w.frames_rejected for w in workers)
+        assert stats.score_histogram == tuple(
+            sum(column) for column in zip(*(w.score_histogram for w in workers))
+        )
+        assert sum(stats.score_histogram) == stats.frames_out
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_worker_stats_carry_the_stage_profile(
@@ -601,18 +655,6 @@ class TestProcessBackend:
         service.close()
         assert not any(segment_exists(name) for name in names)
 
-    def test_oversize_frames_span_ring_slots(self, trained_classifier, test_codewords):
-        """Frames bigger than one shm slot still arrive bit for bit."""
-        with StreamingService(
-            trained_classifier,
-            num_workers=2,
-            batch_size=4,
-            backend="processes",
-            slot_bytes=1024,  # below one (234, 3, 2) codeword record (~2.8 KB)
-        ) as service:
-            results = service.drain(test_codewords[:6])
-        assert len(results) == 6
-
 
 class TestServiceStats:
     def test_counters_aggregate_worker_stats(
@@ -625,7 +667,6 @@ class TestServiceStats:
                 service.submit(quantized, source=source)
             service.flush()
             stats = service.stats
-        assert stats.num_workers == 3
         assert stats.frames_out == len(multi_source_stream)
         assert stats.batches == sum(w.batches for w in stats.worker_stats)
         assert stats.inference_seconds == pytest.approx(
@@ -642,7 +683,7 @@ class TestServiceStats:
         assert stats.mean_batch_size == 0.0
 
     def test_stats_without_wall_time_guard_zero_division(self):
-        stats = ServiceStats(num_workers=1)
+        stats = ServiceStats()
         assert stats.frames_per_second == 0.0
         assert stats.wall_frames_per_second == 0.0
         assert stats.mean_batch_size == 0.0

@@ -43,7 +43,7 @@ from repro.core.openset import (
     enroll_centroids,
     score_samples,
 )
-from repro.core.service import ServiceError, StreamingService
+from repro.core.service import ServiceError, StreamingService, shard_for_source
 from repro.datasets.adversarial import impostor_scenario, interleaved_traffic
 from repro.datasets.features import FeatureConfig
 from repro.nn.training import TrainingConfig
@@ -160,8 +160,9 @@ def _serve_with_swaps(classifier, feed, backend, swaps=(), **service_kwargs):
     ``swaps`` is a list of ``(frame_index, replacement)`` pairs; each swap
     fires right after that many frames have been submitted.  A
     ``swap_open_set`` keyword is forwarded to every swap as its bundled
-    open-set policy.  Returns the results (submission order), the final
-    stats and the per-source verdicts.
+    open-set policy.  Returns the results (submission order), the closed
+    service (its stats, model version and drift snapshot stay readable) and
+    the per-source verdicts.
     """
     swap_open_set = service_kwargs.pop("swap_open_set", None)
     pending = sorted(swaps, key=lambda entry: entry[0])
@@ -180,10 +181,9 @@ def _serve_with_swaps(classifier, feed, backend, swaps=(), **service_kwargs):
                 service.swap_model(pending.pop(0)[1], open_set=swap_open_set)
         service.flush()
         results.extend(service.collect())
-        stats = service.stats
         verdicts = {source: service.verdict(source) for source in service.sources}
     results.sort(key=lambda result: result.sequence)
-    return results, stats, verdicts
+    return results, service, verdicts
 
 
 class TestSwapUnderLoad:
@@ -192,13 +192,13 @@ class TestSwapUnderLoad:
         self, classifier_v0, classifier_v1, feed, backend
     ):
         swap_at = len(feed) // 2
-        results, stats, verdicts = _serve_with_swaps(
+        results, service, verdicts = _serve_with_swaps(
             classifier_v0, feed, backend, swaps=[(swap_at, classifier_v1)]
         )
         # Zero drops: every submitted frame produced exactly one result.
         assert [result.sequence for result in results] == list(range(len(feed)))
-        assert stats.frames_out == len(feed)
-        assert stats.model_version == 1
+        assert service.stats.frames_out == len(feed)
+        assert service.model_version == 1
         # The swap actually took: both versions served frames.
         versions = [result.model_version for result in results]
         assert 0 in versions and 1 in versions
@@ -225,10 +225,10 @@ class TestSwapUnderLoad:
         frames = [(source, frame(quantized, source)) for source, quantized in feed]
         for traffic in (feed, frames):
             baseline, _, _ = _serve_with_swaps(classifier_v0, traffic, backend)
-            swapped, stats, _ = _serve_with_swaps(
+            swapped, service, _ = _serve_with_swaps(
                 classifier_v0, traffic, backend, swaps=[(len(traffic) // 3, classifier_v0)]
             )
-            assert stats.model_version == 1
+            assert service.model_version == 1
             assert len(baseline) == len(swapped) == len(traffic)
             for before, after in zip(baseline, swapped):
                 assert before.sequence == after.sequence
@@ -249,11 +249,11 @@ class TestSwapUnderLoad:
             (step * (index + 1), replacement)
             for index, replacement in enumerate(replacements)
         ]
-        results, stats, _ = _serve_with_swaps(
+        results, service, _ = _serve_with_swaps(
             classifier_v0, stream, backend, swaps=swaps
         )
         assert [result.sequence for result in results] == list(range(len(stream)))
-        assert stats.model_version == len(replacements)
+        assert service.model_version == len(replacements)
         by_source = {}
         for result in results:
             by_source.setdefault(result.source, []).append(result.model_version)
@@ -298,10 +298,10 @@ class TestWholeClassifierSwap:
     ):
         v1 = classifier_other_draw
         assert not np.array_equal(v1._normalization[0], classifier_v0._normalization[0])
-        results, stats, _ = _serve_with_swaps(
+        results, service, _ = _serve_with_swaps(
             classifier_v0, feed, backend, swaps=[(len(feed) // 2, v1)]
         )
-        assert stats.model_version == 1
+        assert service.model_version == 1
         _assert_swapped_results_bit_equal(results, _alone(v1, feed))
 
     @pytest.mark.parametrize("backend", BACKENDS)
@@ -329,7 +329,7 @@ class TestWholeClassifierSwap:
             )
 
         v1_policy = enrolled_policy(classifier_other_draw, other_draw.enrolled_train)
-        results, stats, _ = _serve_with_swaps(
+        results, _, _ = _serve_with_swaps(
             classifier_v0,
             feed,
             backend,
@@ -337,15 +337,18 @@ class TestWholeClassifierSwap:
             open_set=enrolled_policy(classifier_v0, scenario.enrolled_train),
             swap_open_set=v1_policy,
         )
-        assert stats.open_set
         _assert_swapped_results_bit_equal(
             results, _alone(classifier_other_draw, feed, open_set=v1_policy)
         )
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_stats_report_the_swapped_in_compute(self, classifier_v0, feed, backend):
-        """A service built with fp32 and swapped to an fp64 classifier reports
-        fp64, service-wide and per shard."""
+    def test_swap_installs_the_new_version_compute(self, classifier_v0, feed, backend):
+        """A service built with fp32 and swapped to an fp64 classifier serves
+        like an fp32 engine before the swap and like an fp64 one after it,
+        bit for bit, on every shard."""
+        fp32 = copy.deepcopy(classifier_v0)
+        fp32.set_compute("fp32")
+        before, after = feed[:16], feed[16:32]
         with StreamingService(
             copy.deepcopy(classifier_v0),
             num_workers=2,
@@ -353,12 +356,22 @@ class TestWholeClassifierSwap:
             backend=backend,
             compute="fp32",
         ) as service:
-            assert service.stats.compute == "fp32"
-            service.drain([observation for _, observation in feed[:8]])
+            for source, observation in before:
+                service.submit(observation, source=source)
             service.swap_model(classifier_v0)
-            stats = service.stats
-        assert stats.compute == "fp64"
-        assert [worker.compute for worker in stats.worker_stats] == ["fp64", "fp64"]
+            for source, observation in after:
+                service.submit(observation, source=source)
+            service.flush()
+            results = sorted(service.collect(), key=lambda result: result.sequence)
+        # The feed reaches both shards.
+        assert len({shard_for_source(source, 2) for source, _ in feed[:32]}) == 2
+
+        def outputs(served):
+            return [(r.predicted_module_id, r.confidence, r.score) for r in served]
+
+        assert outputs(results[:16]) == outputs(_alone(fp32, before))
+        assert outputs(results[16:]) == outputs(_alone(classifier_v0, after))
+        assert outputs(results[:16]) != outputs(_alone(classifier_v0, before))
 
 
 class TestSwapFailures:
@@ -500,7 +513,7 @@ class TestThresholdHotSwap:
             target_false_reject_rate=0.05,
         )
         swap_at = len(feed) // 2
-        results, stats, verdicts = _serve_with_swaps(
+        results, service, verdicts = _serve_with_swaps(
             classifier_v0,
             feed,
             backend,
@@ -509,8 +522,7 @@ class TestThresholdHotSwap:
             drift=DriftConfig(),
             swap_open_set=OpenSetPolicy(scoring="max_softmax", threshold=1.5),
         )
-        assert stats.open_set
-        assert stats.model_version == 1
+        assert service.model_version == 1
         # The calibrated threshold accepts traffic before the swap, so the
         # rejections after it are the bundled threshold's doing.
         assert any(r.accepted for r in results if r.model_version == 0)
@@ -522,6 +534,7 @@ class TestThresholdHotSwap:
         assert all(
             verdict.module_id == UNKNOWN_MODULE_ID for verdict in verdicts.values()
         )
-        assert stats.frames_rejected >= len(new_version)
-        # Rejections drag the drift monitor's fast EWMA under its baseline.
-        assert stats.drift
+        assert service.stats.frames_rejected >= len(new_version)
+        # The drift monitor tracks every source's score trajectory.
+        drift = service.drift_snapshot()
+        assert [status.source for status in drift] == sorted(verdicts)
