@@ -593,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="accumulate and print per-stage preprocessing and per-layer "
-        "forward timings",
+        "forward timings (a conv -> SELU -> pool block is timed under its "
+        "conv; its SELU and pool lines read 0 calls)",
     )
     authenticate.set_defaults(handler=_cmd_authenticate)
 

@@ -19,19 +19,33 @@ the model's dtype: float64 by default, float32 after
   order; float32 casts the weights once and gathers ``(kh, kw, c)``
   columns, which copy near-contiguous runs out of NHWC.  The choice is made
   in one place, :func:`_prepare`.
+* **Conv blocks.**  A ``Conv2D`` followed by ``Selu`` and ``MaxPool2D``
+  (each of the paper CNN's five blocks) is one step: every GEMM block's raw
+  product is max-pooled, and the bias and SELU act on the pooled map,
+  written straight into the next activation buffer.  Max commutes with a
+  per-channel bias add and with :func:`~repro.nn.layers.fused_selu`, both
+  non-decreasing in floating point, so the bits are those of the three
+  layers run one after another (+-0 ties and NaN signs aside, as
+  ``MaxPool2D`` documents).  The unpooled conv output is never stored, and
+  bias and SELU touch one pooled element per window.  :meth:`steps` finds
+  the blocks in the layer sequence; ``Sequential.profile()`` times a block
+  under its conv, and its ``Selu`` and ``MaxPool2D`` entries record no calls.
 * **Scratch.**  Every layer shares one set of flat buffers: two ping-pong
-  activation buffers (the idle one is SELU's scratch and the attention's
-  NCHW copy), one GEMM block (its zero-bordered input and its im2col
-  matrix) and the attention's small maps and logits.  They grow to the
-  largest batch seen and are reused after, so a warm forward allocates only
-  its result.  The buffers are per thread (a ``threading.local``): forwards
-  on several threads never share them, and a thread's buffers die with it.
-* **State.**  The forward holds no reference to its model.  It prepares a
-  layer's GEMM operands on first use: views of the float64 weights, which
-  see every in-place optimiser step, or float32 casts, which
-  ``Sequential.add`` and ``set_weights`` drop for re-preparation.  Pickles
-  and deep copies carry the dtype only, so a process shard's startup
-  payload and a thread shard's copy hold the weights once, in the layers.
+  activation buffers (the idle one is a lone SELU's scratch and the
+  attention's NCHW copy), one GEMM block (its zero-bordered input, its
+  im2col matrix and, in a conv block, its product, which then serves as
+  the block's SELU scratch) and the attention's small maps and logits.
+  They grow to the largest batch seen and are reused after, so a warm
+  forward allocates only its result.  The buffers are per thread (a
+  ``threading.local``): forwards on several threads never share them, and a
+  thread's buffers die with it.
+* **State.**  The forward holds no reference to its model.  It plans its
+  steps and prepares a layer's GEMM operands on first use: views of the
+  float64 weights, which see every in-place optimiser step, or float32
+  casts, which ``Sequential.add`` and ``set_weights`` drop for
+  re-preparation.  Pickles and deep copies carry the dtype only, so a
+  process shard's startup payload and a thread shard's copy hold the
+  weights once, in the layers.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from math import prod
-from typing import Dict, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import DTypeLike
@@ -92,11 +106,19 @@ class _ConvState:
     window_axes: Tuple[int, ...]  # the (b, oh, ow, c, kh, kw) windows in column order
 
 
+@dataclass(frozen=True)
+class _ConvBlock:
+    """A ``Conv2D`` followed by ``Selu`` and ``pool``: one step of the forward."""
+
+    conv: Conv2D
+    pool: MaxPool2D
+
+
 def _prepare(layer, dtype: np.dtype):
     """``layer``'s GEMM operands in ``dtype``, or ``None`` for a layer without any."""
     if isinstance(layer, Dense):
         return _DenseState(np.asarray(layer.weight, dtype=dtype), np.asarray(layer.bias, dtype=dtype))
-    if isinstance(layer, SpatialAttention):
+    if isinstance(layer, (SpatialAttention, _ConvBlock)):
         layer = layer.conv
     if not isinstance(layer, Conv2D):
         return None
@@ -114,6 +136,34 @@ def _prepare(layer, dtype: np.dtype):
         weight2d = layer.weight.reshape(cout, -1).T
     bias = np.asarray(layer.bias, dtype=dtype)
     return _ConvState(weight2d, bias, layer.kernel_size, layer.padding, axes)
+
+
+def _pooled_size(layer: MaxPool2D, height: int, width: int) -> Tuple[int, int]:
+    """``layer``'s output size for a ``height x width`` input, cropped like the layer."""
+    ph, pw = layer.pool_size
+    if height < ph or width < pw:
+        raise LayerError(
+            f"{layer.name}: input spatial size {(height, width)} smaller than "
+            f"pool {layer.pool_size}"
+        )
+    return height // ph, width // pw
+
+
+def _max_pool(x: np.ndarray, pool_size: Tuple[int, int], out: np.ndarray) -> np.ndarray:
+    """The window maxima of NHWC ``x`` written into ``out`` (NHWC, pooled size)."""
+    ph, pw = pool_size
+    out_h, out_w = out.shape[1:3]
+    cropped = x[:, : out_h * ph, : out_w * pw]
+    # Non-overlapping windows: the (di, dj) offset grids partition every
+    # window, folded in the order MaxPool2D folds a contiguous input.
+    grids = [cropped[:, di::ph, dj::pw] for di in range(ph) for dj in range(pw)]
+    if len(grids) == 1:
+        np.copyto(out, grids[0])
+    else:
+        np.maximum(grids[0], grids[1], out=out)
+    for grid in grids[2:]:
+        np.maximum(out, grid, out=out)
+    return out
 
 
 def _sigmoid_inplace(x: np.ndarray) -> np.ndarray:
@@ -155,6 +205,7 @@ class ArenaForward:
         self.dtype = np.dtype(dtype)
         self.name = "fp32" if self.dtype == np.float32 else "fp64"
         self._states: Dict[int, object] = {}
+        self._steps: Optional[Tuple[Tuple[int, object], ...]] = None
         self._local = threading.local()
 
     def __reduce__(self):
@@ -172,13 +223,39 @@ class ArenaForward:
         return 0 if scratch is None else scratch.pool.allocations
 
     def reset(self) -> None:
-        """Drop the prepared weights; the next forward prepares them again."""
+        """Drop the plan and the prepared weights; the next forward redoes them."""
         self._states = {}
+        self._steps = None
 
     # -- dispatch --------------------------------------------------------- #
+    def steps(self, layers: Sequence) -> Tuple[Tuple[int, object], ...]:
+        """The model ``layers`` as this forward's ``(index, step)`` pairs.
+
+        A ``Conv2D`` followed by ``Selu`` and ``MaxPool2D`` is one step, at
+        the conv's index; every other layer is a step of its own.
+        """
+        if self._steps is None:
+            plan = []
+            index = 0
+            while index < len(layers):
+                layer, following = layers[index], layers[index + 1 : index + 3]
+                if (
+                    isinstance(layer, Conv2D)
+                    and len(following) == 2
+                    and isinstance(following[0], Selu)
+                    and isinstance(following[1], MaxPool2D)
+                ):
+                    plan.append((index, _ConvBlock(layer, following[1])))
+                    index += 3
+                else:
+                    plan.append((index, layer))
+                    index += 1
+            self._steps = tuple(plan)
+        return self._steps
+
     @hot_path
     def forward_layer(self, index: int, layer, x: np.ndarray) -> np.ndarray:
-        """Inference forward of ``layer``, the ``index``-th layer of the model."""
+        """Inference forward of the step ``(index, layer)`` of :meth:`steps`."""
         scratch = getattr(self._local, "scratch", None)
         if scratch is None:
             scratch = self._local.scratch = _Scratch(self.dtype)
@@ -194,6 +271,8 @@ class ArenaForward:
         state = self._states[index]
         if isinstance(layer, Conv2D):
             out = self._conv(scratch, state, x, 1 - scratch.live)
+        elif isinstance(layer, _ConvBlock):
+            out = self._conv(scratch, state, x, 1 - scratch.live, layer.pool)
         elif isinstance(layer, Dense):
             out = self._dense(scratch, state, x)
         elif isinstance(layer, MaxPool2D):
@@ -227,8 +306,19 @@ class ArenaForward:
 
     # -- kernels ---------------------------------------------------------- #
     @hot_path
-    def _conv(self, scratch: _Scratch, state: _ConvState, x: np.ndarray, role) -> np.ndarray:
-        """``x`` (NHWC) convolved into the buffer ``role``, one GEMM block at a time."""
+    def _conv(
+        self,
+        scratch: _Scratch,
+        state: _ConvState,
+        x: np.ndarray,
+        role,
+        pool: Optional[MaxPool2D] = None,
+    ) -> np.ndarray:
+        """``x`` (NHWC) convolved into the buffer ``role``, one GEMM block at a time.
+
+        With ``pool`` (a conv block), each block's product is pooled first and
+        the bias and SELU act on the pooled map.
+        """
         batch, height, width, channels = x.shape
         top, bottom, left, right = (
             _pad_same(height, width, state.kernel) if state.padding == "same" else (0, 0, 0, 0)
@@ -247,22 +337,33 @@ class ArenaForward:
         ).transpose(state.window_axes)
         col = scratch.buffer("col", windows.shape)
         out_h, out_w = windows.shape[1:3]
-        positions = out_h * out_w
-        gemm_rows = col.reshape(GEMM_SAMPLES * positions, -1)
-        out = scratch.buffer(role, (scratch.padded * positions, state.weight2d.shape[1]))
+        gemm_rows = col.reshape(GEMM_SAMPLES * out_h * out_w, -1)
+        units = state.weight2d.shape[1]
+        if pool is not None:
+            gemm = scratch.buffer("gemm", (GEMM_SAMPLES, out_h, out_w, units))
+            product = gemm.reshape(-1, units)
+            out_h, out_w = _pooled_size(pool, out_h, out_w)
+            # Once pooled, the spent product is the block's SELU scratch.
+            pooled_block = (GEMM_SAMPLES, out_h, out_w, units)
+            spent = gemm.reshape(-1)[: prod(pooled_block)].reshape(pooled_block)
+        out = scratch.buffer(role, (scratch.padded, out_h, out_w, units))
         for start in range(0, batch, GEMM_SAMPLES):
             count = min(GEMM_SAMPLES, batch - start)
             interior[:count] = x[start : start + count]
             interior[count:] = 0.0
             np.copyto(col, windows)
-            np.matmul(
-                gemm_rows,
-                state.weight2d,
-                out=out[start * positions : (start + GEMM_SAMPLES) * positions],
-            )
-        out = out[: batch * positions]
-        out += state.bias
-        return out.reshape(batch, out_h, out_w, -1)
+            if pool is None:
+                target = out[start : start + GEMM_SAMPLES]
+                np.matmul(gemm_rows, state.weight2d, out=target.reshape(-1, units))
+            else:
+                np.matmul(gemm_rows, state.weight2d, out=product)
+                pooled = _max_pool(gemm[:count], pool.pool_size, out[start : start + count])
+                pooled += state.bias
+                fused_selu(pooled, pooled, spent[:count])
+        out = out[:batch]
+        if pool is None:
+            out += state.bias
+        return out
 
     @hot_path
     def _dense(self, scratch: _Scratch, state: _DenseState, x: np.ndarray) -> np.ndarray:
@@ -283,22 +384,9 @@ class ArenaForward:
 
     @hot_path
     def _maxpool(self, scratch: _Scratch, layer: MaxPool2D, x: np.ndarray) -> np.ndarray:
-        ph, pw = layer.pool_size
         batch, height, width, channels = x.shape
-        out_h, out_w = height // ph, width // pw
-        if out_h < 1 or out_w < 1:
-            raise LayerError(
-                f"{layer.name}: input spatial size {(height, width)} smaller than "
-                f"pool {layer.pool_size}"
-            )
-        cropped = x[:, : out_h * ph, : out_w * pw]
-        out = scratch.idle((out_h, out_w, channels))[:batch]
-        # Non-overlapping windows: the (di, dj) offset grids partition every
-        # window, folded in the order MaxPool2D folds a contiguous input.
-        np.copyto(out, cropped[:, ::ph, ::pw])
-        for di, dj in list(np.ndindex(ph, pw))[1:]:
-            np.maximum(out, cropped[:, di::ph, dj::pw], out=out)
-        return out
+        out = scratch.idle(_pooled_size(layer, height, width) + (channels,))[:batch]
+        return _max_pool(x, layer.pool_size, out)
 
     @hot_path
     def _flatten(self, scratch: _Scratch, x: np.ndarray) -> np.ndarray:

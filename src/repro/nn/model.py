@@ -98,7 +98,13 @@ class Sequential:
         self._profile_ns = []
 
     def profile(self) -> Tuple[LayerProfile, ...]:
-        """Accumulated per-layer forward timings."""
+        """Accumulated per-layer forward timings.
+
+        An inference forward runs a ``Conv2D`` followed by ``Selu`` and
+        ``MaxPool2D`` as one step (:meth:`ArenaForward.steps
+        <repro.nn.compute.ArenaForward.steps>`): its time is its conv's
+        entry, and its ``Selu`` and ``MaxPool2D`` entries record no calls.
+        """
         return tuple(
             LayerProfile(
                 index=index,
@@ -128,22 +134,23 @@ class Sequential:
         if not self.layers:
             raise ModelError("the model has no layers")
         forward = self._forward
+        steps = enumerate(self.layers) if training else forward.steps(self.layers)
         step = _training_step if training else forward.forward_layer
         if self._profiling:
-            out = self._forward_profiled(x, step)
+            out = self._forward_profiled(x, steps, step)
         else:
             out = x
-            for index, layer in enumerate(self.layers):
+            for index, layer in steps:
                 out = step(index, layer, out)
         return out if training else forward.finalize(out)
 
-    def _forward_profiled(self, x: np.ndarray, step) -> np.ndarray:
+    def _forward_profiled(self, x: np.ndarray, steps, step) -> np.ndarray:
         if len(self._profile_calls) < len(self.layers):
             grow = len(self.layers) - len(self._profile_calls)
             self._profile_calls.extend([0] * grow)
             self._profile_ns.extend([0] * grow)
         out = x
-        for index, layer in enumerate(self.layers):
+        for index, layer in steps:
             start = time.perf_counter_ns()
             out = step(index, layer, out)
             self._profile_ns[index] += time.perf_counter_ns() - start

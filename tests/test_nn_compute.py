@@ -49,6 +49,10 @@ TINY_MODEL = DeepCsiModelConfig(
     attention_kernel_width=3,
 )
 
+#: The Selu and MaxPool2D entries of the tiny model's two conv blocks: each
+#: block runs as one step timed under its conv, so these record no calls.
+TINY_BLOCK_ENTRIES = (1, 2, 4, 5)
+
 #: The error every entry point raises for a name other than None / "fp32".
 ACCEPTED_NAMES = r"expected None or one of \('fp32',\)"
 
@@ -317,9 +321,21 @@ class TestOneForward:
         model, x = model_and_input
         model.set_compute(compute)
         model.forward(x)
-        # Two ping-pong activations, one GEMM block (padded input and
-        # im2col) and the attention's maps and logits, whatever the depth.
-        assert set(scratch_buffers(model)) == {0, 1, "block", "col", "maps", "logits"}
+        # Two ping-pong activations, one GEMM block (padded input, im2col
+        # and a conv block's product) and the attention's maps and logits,
+        # whatever the depth.
+        assert set(scratch_buffers(model)) == {
+            0, 1, "block", "col", "gemm", "maps", "logits"
+        }
+
+    def test_paper_model_scratch_at_batch_64(self, compute):
+        # Conv blocks store pooled maps only, so the largest activation is
+        # conv1's pooled map (64 x 29 x 128 values), not its 59-wide output.
+        model = build_deepcsi_model((5, 1, 59), 10, rng=np.random.default_rng(0))
+        model.set_compute(compute)
+        model.forward(np.random.default_rng(1).standard_normal((64, 5, 1, 59)))
+        total = sum(buffer.nbytes for buffer in scratch_buffers(model).values())
+        assert total <= (5.5 if compute is None else 2.75) * 2**20
 
     def test_warm_forward_allocates_only_its_result(self, model_and_input, compute):
         model, x = model_and_input
@@ -344,9 +360,11 @@ class TestOneForward:
         model.set_compute(compute)
         before = len(pickle.dumps(model))
         model.forward(x)
-        # Prepared operands (fp64 views, fp32 casts) and scratch stay behind.
+        # The step plan, prepared operands (fp64 views, fp32 casts) and
+        # scratch stay behind.
         assert len(pickle.dumps(model)) == before
-        assert copy.deepcopy(model)._forward._states == {}
+        copied = copy.deepcopy(model)._forward
+        assert copied._states == {} and copied._steps is None
 
     def test_dropping_a_model_frees_its_scratch(self, compute):
         model, x = tiny_model_and_input()
@@ -485,12 +503,13 @@ class TestProfiling:
         model.forward(x, training=False)
         profile = model.profile()
         assert len(profile) == len(model.layers)
-        assert all(entry.calls == 2 for entry in profile)
-        assert all(entry.total_ns > 0 for entry in profile)
+        expected = [0 if entry.index in TINY_BLOCK_ENTRIES else 2 for entry in profile]
+        assert [entry.calls for entry in profile] == expected
+        assert all(entry.total_ns > 0 for entry in profile if entry.calls)
         assert profile[0].mean_ms > 0.0
         model.disable_profiling()
         model.forward(x, training=False)
-        assert all(entry.calls == 2 for entry in model.profile())
+        assert [entry.calls for entry in model.profile()] == expected
 
     def test_reset_zeroes_counters(self, model_and_input):
         model, x = model_and_input
@@ -505,7 +524,10 @@ class TestProfiling:
         model.enable_profiling()
         out = model.forward(x, training=False)
         assert out.dtype == np.float32
-        assert all(entry.calls == 1 for entry in model.profile())
+        assert all(
+            entry.calls == (0 if entry.index in TINY_BLOCK_ENTRIES else 1)
+            for entry in model.profile()
+        )
 
 
 class TestClassifierCompute:
@@ -598,7 +620,9 @@ class TestEngineAndServiceCompute:
         classifier = copy.deepcopy(trained_classifier)
         engine, _ = _drain_engine(classifier, test[:16], profile=True)
         profile = engine.stats.layer_profile
-        assert profile and all(entry.calls > 0 for entry in profile)
+        assert profile and all(
+            (entry.calls == 0) == (entry.index in TINY_BLOCK_ENTRIES) for entry in profile
+        )
 
     def test_unprofiled_engine_stats_have_empty_profile(
         self, trained_classifier, split_samples

@@ -454,3 +454,99 @@ class TestKernelOracles:
                 expected = _selu_oracle(view)
             assert out.dtype == expected.dtype and out.shape == expected.shape, name
             assert out.tobytes() == expected.tobytes(), name
+
+
+# --------------------------------------------------------------------------- #
+# Conv blocks: the inference forward runs Conv2D -> Selu -> MaxPool2D as one
+# step (pool each GEMM block's product, then bias and SELU on the pooled map).
+# --------------------------------------------------------------------------- #
+CONV_BLOCK_CASES = pytest.mark.parametrize(
+    "shape, kernel, padding, pool",
+    [((128, 128, 1, 29), (1, 7), "same", (1, 2)), ((4, 6, 4, 11), (2, 3), "valid", (2, 2))],
+    ids=["paper-conv2", "valid-2x3"],
+)
+
+
+def _conv_block(shape, kernel, padding, pool, batch):
+    """A conv with a random bias, its block's layers and an NCHW input batch."""
+    in_channels, out_channels, height, width = shape
+    rng = np.random.default_rng(batch)
+    conv = Conv2D(in_channels, out_channels, kernel, padding=padding, rng=rng)
+    conv.bias[...] = rng.standard_normal(out_channels)
+    x = rng.standard_normal((batch, in_channels, height, width))
+    return conv, [conv, Selu(), MaxPool2D(pool)], x
+
+
+def _inference(layers, x, compute=None):
+    model = Sequential(layers)
+    model.set_compute(compute)
+    return model.forward(x)
+
+
+class TestConvBlockInference:
+    @CONV_BLOCK_CASES
+    @pytest.mark.parametrize("batch", [1, 8, 13, 63, 64])
+    def test_fp64_block_matches_the_layer_by_layer_oracle(
+        self, shape, kernel, padding, pool, batch
+    ):
+        # paper-conv2 crops the odd column (29 -> 14); valid-2x3 crops a row
+        # and a column of its 3 x 9 conv output.
+        conv, layers, x = _conv_block(shape, kernel, padding, pool, batch)
+        expected = _maxpool_oracle(_selu_oracle(whole_batch_product(conv, x)), pool)
+        assert _inference(layers, x).tobytes() == expected.tobytes()
+
+    @CONV_BLOCK_CASES
+    @pytest.mark.parametrize("batch", [1, 8, 13, 63, 64])
+    def test_fp32_block_matches_the_unfused_chain(self, shape, kernel, padding, pool, batch):
+        # The same three layers run one model each, so one kernel at a time.
+        _, layers, x = _conv_block(shape, kernel, padding, pool, batch)
+        chain = x
+        for layer in layers:
+            chain = _inference([layer], chain, "fp32")
+        out = _inference(layers, x, "fp32")
+        assert out.dtype == np.float32 and out.tobytes() == chain.tobytes()
+
+    def test_only_a_conv_selu_pool_sequence_is_one_step(self):
+        def step_starts(sequence):
+            model = Sequential(sequence)
+            return [index for index, _ in model._forward.steps(model.layers)]
+
+        conv, layers, _ = _conv_block((4, 6, 4, 11), (2, 3), "valid", (2, 2), 1)
+        assert step_starts(layers + [Flatten()]) == [0, 3]
+        for sequence in (
+            [conv, Selu(), Flatten(), Dense(6 * 3 * 9, 5)],
+            [conv, MaxPool2D((2, 2))],
+            [conv, Selu()],
+            [conv],
+        ):
+            assert step_starts(sequence) == list(range(len(sequence)))
+
+    @pytest.mark.parametrize("batch", [1, 13])
+    def test_other_sequences_keep_the_layer_by_layer_bits(self, batch):
+        conv, _, x = _conv_block((4, 6, 4, 11), (2, 3), "valid", (2, 2), batch)
+        dense = Dense(6 * 3 * 9, 5, rng=np.random.default_rng(2))
+        dense.bias[...] = np.random.default_rng(3).standard_normal(5)
+        product = whole_batch_product(conv, x)
+        activated = _selu_oracle(product).reshape(batch, 1, -1)
+        expected = batch_invariant_matmul(activated, dense.weight)[:, 0, :] + dense.bias
+        out = _inference([conv, Selu(), Flatten(), dense], x)
+        assert out.tobytes() == expected.tobytes()
+        expected = _maxpool_oracle(product, (2, 2))
+        assert _inference([conv, MaxPool2D((2, 2))], x).tobytes() == expected.tobytes()
+
+    def test_a_block_is_profiled_under_its_conv(self):
+        _, layers, x = _conv_block((4, 6, 4, 11), (2, 3), "valid", (2, 2), 5)
+        model = Sequential(layers + [Flatten(), Dense(6 * 1 * 4, 3)])
+        model.enable_profiling()
+        model.forward(x)
+        profile = model.profile()
+        assert [entry.calls for entry in profile] == [1, 0, 0, 1, 1]
+        assert profile[0].total_ns > 0 and profile[1].total_ns == profile[2].total_ns == 0
+        # The training forward runs and times every layer.
+        model.forward(x, training=True)
+        assert [entry.calls for entry in model.profile()] == [2, 1, 1, 2, 2]
+
+    def test_a_pool_larger_than_the_conv_output_is_rejected(self):
+        _, layers, x = _conv_block((4, 6, 4, 11), (2, 3), "valid", (4, 2), 2)
+        with pytest.raises(LayerError, match="smaller than pool"):
+            _inference(layers, x)
