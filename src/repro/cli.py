@@ -628,13 +628,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=64,
-        help="micro-batch size of every shard's inference engine",
+        help="largest micro-batch of every shard's inference engine (an idle "
+        "shard classifies what it holds at once, so the reported batches "
+        "depend on load)",
     )
     serve.add_argument(
         "--max-latency-frames",
         type=int,
         default=None,
-        help="force a partial batch after this many buffered frames per shard",
+        help="cap a busy shard's partial batch at this many buffered frames "
+        "(an idle shard classifies what it holds at once)",
     )
     serve.add_argument(
         "--window",

@@ -40,10 +40,11 @@ Both backends therefore provide the same invariants the service documents:
 
 * **routing stability** - the backend is handed a shard index computed from
   the stable source hash; one source never spans two shards;
-* **verdict parity** - a shard processes its sub-stream in submission order
-  with the same micro-batching as a standalone engine, so per-frame results
-  and windowed verdicts are bitwise identical to a single engine fed the
-  routed sub-stream;
+* **verdict parity** - a shard processes its sub-stream in submission order.
+  Its batch boundaries depend on load (an idle shard classifies what it
+  holds), but the inference forward gives a frame the same bits in any batch
+  (:mod:`repro.nn.compute`), so per-frame results, windowed verdicts and
+  drift are bitwise identical to a single engine fed the routed sub-stream;
 * **bounded-queue backpressure** - ``queue_depth`` bounds each inbox
   (records for threads, shared-memory ring slots for processes); a full
   inbox blocks the submitter, the stall is counted in ``queue_full_waits``
@@ -127,13 +128,16 @@ def _shard_worker_main(
     It builds the private engine, then serves the inbox in order: data
     records feed ``engine.submit``, a swap record installs the new model at
     the batch boundary (everything buffered is classified under the old one
-    first), flush and stop records flush.  Results go back per micro-batch
-    as compact :class:`~repro.core.engine.EngineResult` field tuples stamped
-    with the service-wide sequence numbers, with the engine's consistent
-    stats snapshot; every barrier record is acked with its barrier id and a
-    snapshot.  The first exception fails the shard: it is reported as an
-    ``error`` message, and from then on the worker only acks barriers, so a
-    producer never blocks on a full inbox and no barrier hangs.
+    first), flush and stop records flush.  A shard that finds its inbox
+    empty flushes whatever its engine holds before it blocks for the next
+    record, so ``batch_size`` and ``max_latency_frames`` only cap the batches
+    of a busy shard and no frame waits for later traffic.  Results go back
+    per micro-batch as compact :class:`~repro.core.engine.EngineResult` field
+    tuples stamped with the service-wide sequence numbers, with the engine's
+    consistent stats snapshot; every barrier record is acked with its barrier
+    id and a snapshot.  The first exception fails the shard: it is reported
+    as an ``error`` message, and from then on the worker only acks barriers,
+    so a producer never blocks on a full inbox and no barrier hangs.
     """
 
     def report(exc: BaseException) -> None:
@@ -144,20 +148,23 @@ def _shard_worker_main(
     except BaseException as exc:  # noqa: BLE001 - reported upstream
         report(exc)
         return
-    sequences: Deque[int] = deque()
+    sequences: Deque[int] = deque()  # service-wide, of the frames the engine holds
     failed = False
     while True:
-        record = inbox.get()
-        kind = record.kind
+        record = inbox.get(block=False)
+        if record is None and (failed or not sequences):
+            record = inbox.get()
         if not failed:
             try:
-                if kind == RECORD_MODEL_SWAP:
+                # No record: the inbox is empty while the engine holds frames,
+                # so the idle shard classifies them now, an unacked flush.
+                if record is None or record.kind in (RECORD_FLUSH, RECORD_STOP):
+                    batch = engine.flush()
+                elif record.kind == RECORD_MODEL_SWAP:
                     assert record.swap is not None
                     batch = engine.install_model(
                         ModelVersion(record.swap.version, record.swap.blob)
                     )
-                elif kind in (RECORD_FLUSH, RECORD_STOP):
-                    batch = engine.flush()
                 else:
                     sequences.append(record.sequence)
                     batch = engine.submit(_decode(record), source=record.source)
@@ -179,9 +186,9 @@ def _shard_worker_main(
             except BaseException as exc:  # noqa: BLE001 - reported upstream
                 failed = True
                 report(exc)
-        if kind not in (RECORD_FRAME, RECORD_CODEWORDS):
+        if record is not None and record.kind not in (RECORD_FRAME, RECORD_CODEWORDS):
             outbox.put(("ack", shard_index, record.sequence, engine.stats))
-            if kind == RECORD_STOP:
+            if record.kind == RECORD_STOP:
                 inbox.close()
                 return
 
@@ -192,8 +199,9 @@ class _RecordQueue:
     The in-process twin of :class:`~repro.core.transport.ShmRing`, with the
     same ``put``/``get`` contract: ``put`` blocks while ``depth`` records
     wait, calls ``on_wait`` once if it had to and polls ``liveness`` while
-    it waits.  The :class:`~repro.core.transport.Record` objects travel as
-    they are, never packed to bytes.
+    it waits, and ``get(block=False)`` returns ``None`` when no record
+    waits.  The :class:`~repro.core.transport.Record` objects travel as they
+    are, never packed to bytes.
     """
 
     def __init__(self, depth: int) -> None:
@@ -216,8 +224,11 @@ class _RecordQueue:
                 except queue.Full:
                     liveness()
 
-    def get(self) -> Record:
-        return self._queue.get()
+    def get(self, block: bool = True) -> Optional[Record]:
+        try:
+            return self._queue.get(block=block)
+        except queue.Empty:
+            return None
 
     def close(self) -> None:
         """Nothing to detach (a ring unmaps its segment here)."""

@@ -27,8 +27,9 @@ out:
   growing memory without bound; the number of such stalls is counted in
   :attr:`ServiceStats.queue_full_waits`;
 * frame parsing, Givens reconstruction, feature extraction and the CNN
-  forward all run on the workers, in micro-batches, exactly as in the
-  single engine;
+  forward all run on the workers, in micro-batches, with the single
+  engine's results; a shard that finds its inbox empty classifies what it
+  holds at once, so its batches fill only under load;
 * :attr:`StreamingService.stats` adds up the per-shard
   :class:`~repro.core.engine.EngineStats` (the consistent snapshots the
   shard workers ship with their results and barrier acks) into one
@@ -37,7 +38,8 @@ out:
 
 Because each shard batches the traffic of *all* the sources hashed to it,
 the service amortises the per-batch cost across sources: many low-rate
-beamformees together still produce full micro-batches.  With thread shards
+beamformees together still fill micro-batches whenever their combined
+traffic keeps the shard busy.  With thread shards
 the workers additionally overlap their BLAS-heavy CNN forwards on multi-core
 hardware; with process shards the whole hot path (parsing, feature
 extraction, NumPy dispatch) runs in parallel.
@@ -207,6 +209,12 @@ class StreamingService:
         and checked once here, before any shard starts
         (:func:`~repro.core.engine.check_engine_settings`).  Each shard keeps
         at most :data:`~repro.core.engine.MAX_SOURCES` source windows alive.
+        ``batch_size`` and ``max_latency_frames`` are caps that only a busy
+        shard reaches: a shard that finds its inbox empty classifies the
+        frames it holds at once, so no frame waits for later traffic and
+        no :meth:`flush` is needed to see a trickle's results.  Where the
+        batches end, and with them ``batches`` and the stage-call counts
+        of :attr:`stats`, therefore depends on load; the results do not.
     open_set:
         Optional :class:`~repro.core.openset.OpenSetPolicy` forwarded to
         every shard engine: frames below the threshold are rejected and

@@ -397,9 +397,14 @@ class ShmRing:
     # ------------------------------------------------------------------ #
     # Consumer side
     # ------------------------------------------------------------------ #
-    def get(self) -> Record:
-        """Read the next record (blocks until one is available)."""
-        self._filled_records.acquire()
+    def get(self, block: bool = True) -> Optional[Record]:
+        """Read the next record, blocking until one is available.
+
+        With ``block=False`` an empty ring returns ``None`` at once and
+        leaves the ring as it was.
+        """
+        if not self._filled_records.acquire(block=block):
+            return None
         view = self._shm.buf
         start = self._tail * self.slot_bytes
         _, source_len, payload_len, _, _ = _HEADER.unpack_from(view, start)

@@ -26,7 +26,8 @@ the model's dtype: float64 by default, float32 after
   per-channel bias add and with :func:`~repro.nn.layers.fused_selu`, both
   non-decreasing in floating point, so the bits are those of the three
   layers run one after another (+-0 ties and NaN signs aside, as
-  ``MaxPool2D`` documents).  The unpooled conv output is never stored, and
+  ``MaxPool2D`` documents).  The unpooled conv output is never stored, only
+  the rows and columns the pool reads are gathered and multiplied, and
   bias and SELU touch one pooled element per window.  :meth:`steps` finds
   the blocks in the layer sequence; ``Sequential.profile()`` times a block
   under its conv, and its ``Selu`` and ``MaxPool2D`` entries record no calls.
@@ -335,17 +336,19 @@ class ArenaForward:
         windows = np.lib.stride_tricks.sliding_window_view(
             block, state.kernel, axis=(1, 2)
         ).transpose(state.window_axes)
-        col = scratch.buffer("col", windows.shape)
         out_h, out_w = windows.shape[1:3]
-        gemm_rows = col.reshape(GEMM_SAMPLES * out_h * out_w, -1)
         units = state.weight2d.shape[1]
         if pool is not None:
-            gemm = scratch.buffer("gemm", (GEMM_SAMPLES, out_h, out_w, units))
-            product = gemm.reshape(-1, units)
             out_h, out_w = _pooled_size(pool, out_h, out_w)
+            # Gather and multiply only the rows and columns the pool reads.
+            windows = windows[:, : out_h * pool.pool_size[0], : out_w * pool.pool_size[1]]
+            gemm = scratch.buffer("gemm", windows.shape[:3] + (units,))
+            product = gemm.reshape(-1, units)
             # Once pooled, the spent product is the block's SELU scratch.
             pooled_block = (GEMM_SAMPLES, out_h, out_w, units)
             spent = gemm.reshape(-1)[: prod(pooled_block)].reshape(pooled_block)
+        col = scratch.buffer("col", windows.shape)
+        gemm_rows = col.reshape(prod(windows.shape[:3]), -1)
         out = scratch.buffer(role, (scratch.padded, out_h, out_w, units))
         for start in range(0, batch, GEMM_SAMPLES):
             count = min(GEMM_SAMPLES, batch - start)

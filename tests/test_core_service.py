@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
-from repro.core.engine import EngineError, InferenceEngine
+from repro.core.engine import STAGE_NAMES, EngineError, InferenceEngine
 from repro.core.lifecycle import DriftConfig
 from repro.feedback.capture import CapturedFeedback
 from repro.core.model import DeepCsiModelConfig
@@ -443,8 +443,11 @@ class TestShardProtocol:
         self, trained_classifier, multi_source_stream, backend
     ):
         """After a barrier every shard reports its engine's whole stats: the
-        counters and the stage profile of a standalone engine fed the
-        shard's routed sub-stream, call for call."""
+        frame counters of a standalone engine fed the shard's routed
+        sub-stream, and a stage profile of one call per stage and batch.
+        Where a shard cuts its batches depends on load (an idle shard
+        classifies what it holds), so ``batches`` is the shard's own, capped
+        by ``batch_size``."""
         with StreamingService(
             trained_classifier, num_workers=2, batch_size=4, backend=backend
         ) as service:
@@ -453,18 +456,21 @@ class TestShardProtocol:
             service.flush()
             workers = service.stats.worker_stats
 
-        def counters(stats):
-            stages = [(stage.name, stage.calls) for stage in stats.stage_profile]
-            return stats.frames_out, stats.batches, stats.frames_rejected, stages
-
         for index, worker in enumerate(workers):
             engine = InferenceEngine(trained_classifier, batch_size=4)
             for source, quantized in multi_source_stream:
                 if shard_for_source(source, 2) == index:
                     engine.submit(quantized, source=source)
             engine.flush()
-            assert worker.stage_profile
-            assert counters(worker) == counters(engine.stats)
+            expected = engine.stats
+            assert (worker.frames_out, worker.frames_rejected) == (
+                expected.frames_out,
+                expected.frames_rejected,
+            )
+            assert -(-worker.frames_out // 4) <= worker.batches <= worker.frames_out
+            assert [(stage.name, stage.calls) for stage in worker.stage_profile] == [
+                (name, worker.batches) for name in STAGE_NAMES
+            ]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_closed_service_rejects_submissions(
@@ -542,6 +548,69 @@ class TestShardProtocol:
             assert len(service.collect()) == 400
             monitor.assert_clean()
             monitor.restore()
+
+
+class TestIdleShard:
+    """A shard that finds its inbox empty classifies what its engine holds, so
+    a trickle of traffic needs neither a full batch nor a flush."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_trickle_arrives_without_flush(
+        self, trained_classifier, multi_source_frames, backend
+    ):
+        trickle = [observation for _, observation in multi_source_frames[:3]]
+        assert len({observation.source_address for observation in trickle}) == 3
+        engine = InferenceEngine(trained_classifier, batch_size=64)
+        for observation in trickle:
+            engine.submit(observation)
+        expected = engine.flush()
+        sources = [result.source for result in expected]
+
+        with StreamingService(
+            trained_classifier, num_workers=2, batch_size=64, backend=backend
+        ) as service:
+            for observation in trickle:
+                service.submit(observation)
+            results = []
+            deadline = time.monotonic() + 10.0
+            while len(results) < len(trickle) and time.monotonic() < deadline:
+                results.extend(service.collect())
+                time.sleep(0.01)
+            assert sorted(results, key=lambda result: result.sequence) == expected
+            for source in sources:
+                assert service.verdict(source) == engine.verdict(source)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_paced_stream_matches_a_standalone_engine(
+        self, trained_classifier, multi_source_frames, backend
+    ):
+        """Frames paced slower than the shards classify them end a batch
+        wherever a shard goes idle, yet results, verdicts and drift equal
+        those of one engine that classifies the whole stream as one batch."""
+        settings = dict(
+            batch_size=64,
+            vote_window=8,
+            open_set=OpenSetPolicy(scoring="max_softmax", threshold=0.5),
+            drift=DriftConfig(),
+        )
+        engine = InferenceEngine(trained_classifier, **settings)
+        for _, observation in multi_source_frames:
+            engine.submit(observation)
+        expected = engine.flush()
+
+        with StreamingService(
+            trained_classifier, num_workers=2, backend=backend, **settings
+        ) as service:
+            for _, observation in multi_source_frames:
+                service.submit(observation)
+                time.sleep(0.005)
+            service.flush()
+            results = sorted(service.collect(), key=lambda result: result.sequence)
+            assert results == expected
+            assert service.stats.batches > 2  # not one batch per shard
+            for source in engine.sources:
+                assert service.verdict(source) == engine.verdict(source)
+            assert service.drift_snapshot() == engine.drift_snapshot()
 
 
 class TestProcessBackend:

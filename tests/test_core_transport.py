@@ -1,10 +1,13 @@
 """Tests for the shared-memory frame transport of the process backend."""
 
 import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.core.backends import _RecordQueue
 from repro.core.classifier import ClassifierConfig, DeepCsiClassifier
 from repro.core.lifecycle import LifecycleError, ModelVersion
 from repro.core.model import DeepCsiModelConfig
@@ -14,6 +17,7 @@ from repro.core.transport import (
     RECORD_MODEL_SWAP,
     RECORD_STOP,
     ModelSwap,
+    Record,
     ShmRing,
     TransportError,
     pack_control_record,
@@ -145,6 +149,88 @@ class TestShmRing:
             ShmRing.__init__ = original
         assert len(created_names) == 1
         assert not segment_exists(created_names[0])
+
+
+def _queue_record(sequence, source, timestamp_s, payload):
+    """A thread shard's inbox carries the record itself, never its bytes."""
+    return Record(RECORD_FRAME, sequence, source, timestamp_s, payload=payload)
+
+
+@pytest.fixture(params=["ring", "queue"])
+def inbox(request, context):
+    """Each shard inbox (a ring of four 128-byte slots, a queue of depth 4)
+    with the encoder of its records."""
+    if request.param == "queue":
+        yield _RecordQueue(4), _queue_record
+        return
+    ring = ShmRing(context, num_slots=4, slot_bytes=128)
+    try:
+        yield ring, pack_frame_record
+    finally:
+        ring.unlink()
+
+
+def _put(inbox, record, waits):
+    """Put ``record``, counting a wait in ``waits``; 0.1 s without room fails."""
+
+    def stuck():
+        raise AssertionError("the inbox stayed full")
+
+    inbox.put(record, on_wait=lambda: waits.append(1), liveness=stuck)
+
+
+class TestNonBlockingGet:
+    """``get(block=False)``, the idle shard's read of both inboxes."""
+
+    def test_empty_inbox_returns_none_and_takes_no_slot(self, inbox):
+        box, encode = inbox
+        assert box.get(block=False) is None
+        waits = []
+        for sequence in range(4):
+            _put(box, encode(sequence, "src", 0.0, b"x" * 16), waits)
+        assert waits == []  # the miss held no slot, so all four were free
+        assert [box.get(block=False).sequence for _ in range(4)] == [0, 1, 2, 3]
+        assert box.get(block=False) is None
+
+    def test_record_spanning_slots_comes_back_whole(self, inbox):
+        box, encode = inbox
+        payload = np.random.default_rng(11).bytes(300)  # 3 of the ring's slots
+        _put(box, encode(5, "02:aa", 0.5, payload), [])
+        record = box.get(block=False)
+        assert (record.kind, record.sequence, record.source) == (RECORD_FRAME, 5, "02:aa")
+        assert (record.timestamp_s, record.payload) == (0.5, payload)
+        assert box.get(block=False) is None
+
+    def test_blocking_get_after_a_miss(self, inbox):
+        box, encode = inbox
+        assert box.get(block=False) is None
+        got = []
+        reader = threading.Thread(target=lambda: got.append(box.get()), daemon=True)
+        reader.start()
+        time.sleep(0.05)  # the reader blocks on the empty inbox
+        _put(box, encode(9, "src", 0.0, b"y"), [])
+        reader.join(timeout=5.0)
+        assert not reader.is_alive()
+        assert [record.sequence for record in got] == [9]
+
+    def test_miss_leaves_the_ring_tail(self, context):
+        ring = ShmRing(context, num_slots=4, slot_bytes=128)
+        try:
+            spanning = pack_frame_record(0, "src", 0.0, bytes(300))
+            assert ring.slots_needed(len(spanning)) == 3
+            ring.put(spanning)
+            ring.get()
+            assert ring._tail == 3
+            assert ring.get(block=False) is None
+            assert ring._tail == 3
+            waits = []
+            for sequence in range(1, 5):  # wraps past the last slot
+                _put(ring, pack_control_record(RECORD_FLUSH, sequence), waits)
+            assert waits == []
+            assert [ring.get(block=False).sequence for _ in range(4)] == [1, 2, 3, 4]
+            assert ring._tail == 3
+        finally:
+            ring.unlink()
 
 
 @pytest.fixture(scope="module")
